@@ -24,6 +24,14 @@ def fmt(value) -> str:
     return str(value)
 
 
+def natural(text: str) -> int:
+    """argparse type for counts, depths and levels: 0, 1, 2, ..."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a natural number, got {value}")
+    return value
+
+
 def _show(sigma: str) -> str:
     return sigma if sigma else "-"
 
@@ -247,14 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a martingale table file")
     p.add_argument("table")
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=natural)
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("trace", help="capital trace along a path")
     p.add_argument("table", nargs="?")
     p.add_argument("--strategy", choices=["coincidence", "pair-doubling"])
     p.add_argument("--ref", help="reference word for the coincidence strategy")
-    p.add_argument("--depth", type=int, help="depth for the pair-doubling strategy")
+    p.add_argument("--depth", type=natural, help="depth for the pair-doubling strategy")
     p.add_argument("--path", required=True, help="path to trace ('-' for the empty path)")
     p.set_defaults(handler=cmd_trace)
 
@@ -262,16 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", nargs="?")
     p.add_argument("--strategy", choices=["coincidence", "pair-doubling"])
     p.add_argument("--ref")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--length", type=int)
+    p.add_argument("--depth", type=natural)
+    p.add_argument("--length", type=natural)
     p.set_defaults(handler=cmd_adversary)
 
     def add_kernel_options(p):
         p.add_argument("--kernel", required=True, choices=sorted(oracle.BUILTIN_KERNELS))
-        p.add_argument("--prefix-length", type=int, default=1,
+        p.add_argument("--prefix-length", type=natural, default=1,
                        help="prefix length for the prefix-coincidence kernel")
-        p.add_argument("--depth", type=int, required=True)
-        p.add_argument("--guard", type=int, default=oracle.DEFAULT_GUARD,
+        p.add_argument("--depth", type=natural, required=True)
+        p.add_argument("--guard", type=natural, default=oracle.DEFAULT_GUARD,
                        help="cap on the oracle enumeration length")
 
     p = sub.add_parser("average", help="oracle-averaged martingale table")
@@ -280,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exceed", help="exceed set of an oracle family")
     add_kernel_options(p)
-    p.add_argument("--n", type=int, required=True, help="capital level 2^n + 1")
+    p.add_argument("--n", type=natural, required=True, help="capital level 2^n + 1")
     p.add_argument("--path", help="path to watch (default: adversary of the average)")
     p.set_defaults(handler=cmd_exceed)
 

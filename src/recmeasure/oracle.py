@@ -11,15 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 from typing import Callable
 
+from .codec import str_of
 from .martingale import (
+    Level,
     Martingale,
     StrategyMartingale,
     TableMartingale,
     all_strings,
     savings_transform,
-    strings_up_to,
     validate,
 )
 from .nulltests import ClopenSet, normalize
@@ -45,6 +48,8 @@ class TTFunctional:
     factory: Callable[[str, int], Martingale]
 
     def oracle_length(self, depth: int, guard: int = DEFAULT_GUARD) -> int:
+        if depth < 0:
+            raise ValueError("depth must be a natural number")
         u = self.use_bound(depth)
         if u > guard:
             raise GuardExceeded(
@@ -73,6 +78,8 @@ def oracle_coincidence_functional() -> TTFunctional:
 
 def prefix_coincidence_functional(prefix_length: int) -> TTFunctional:
     """Coincidence betting on the first ``prefix_length`` oracle bits only."""
+    if prefix_length < 0:
+        raise ValueError("prefix length must be a natural number")
 
     def factory(tau: str, depth: int) -> Martingale:
         def rule(sigma: str) -> tuple[Fraction, int]:
@@ -106,6 +113,16 @@ BUILTIN_KERNELS = {
 }
 
 
+def _add_levels(a: list[Level], b: list[Level]) -> list[Level]:
+    """Exact level-by-level sum of two trees, each level over the lcm of both denominators."""
+    out = []
+    for (xs, x_den), (ys, y_den) in zip(a, b):
+        den = lcm(x_den, y_den)
+        kx, ky = den // x_den, den // y_den
+        out.append(([x * kx + y * ky for x, y in zip(xs, ys)], den))
+    return out
+
+
 def averaged_martingale(
     f: TTFunctional, depth: int, guard: int = DEFAULT_GUARD
 ) -> TableMartingale:
@@ -115,13 +132,14 @@ def averaged_martingale(
     use length agrees with averaging at use_bound(|sigma|) for every sigma.
     """
     u = f.oracle_length(depth, guard)
-    totals = {sigma: Fraction(0) for sigma in strings_up_to(depth)}
-    for tau in all_strings(u):
-        m = f.factory(tau, depth)
-        for sigma in totals:
-            totals[sigma] += m.value(sigma)
-    weight = Fraction(1, 2**u)
-    return TableMartingale(depth, {s: v * weight for s, v in totals.items()})
+    total = reduce(
+        _add_levels, (f.factory(tau, depth).levels(depth) for tau in all_strings(u))
+    )
+    table = {}
+    for length, (nums, den) in enumerate(total):
+        for sigma, num in zip(all_strings(length), nums):
+            table[sigma] = Fraction(num, den << u)
+    return TableMartingale(depth, table)
 
 
 @dataclass(frozen=True)
@@ -141,13 +159,15 @@ def exceed_set(
     Meaningful bounds require the functional's martingales to be savings
     martingales with unit initial capital; see :func:`savings_functional`.
     """
+    if n < 0:
+        raise ValueError(f"exceed level must be a natural number, got {n}")
     u = f.oracle_length(len(path), guard)
     threshold = 2**n + 1
-    hits = []
-    for tau in all_strings(u):
-        m = f.factory(tau, len(path))
-        if any(m.value(path[:i]) > threshold for i in range(len(path) + 1)):
-            hits.append(tau)
+    hits = [
+        tau
+        for tau in all_strings(u)
+        if any(v > threshold * den for v, den in f.factory(tau, len(path)).walk(path))
+    ]
     members = normalize(hits)
     return ExceedSet(n, members, members.measure())
 
@@ -176,10 +196,11 @@ def functional_validate(
         if need == u:
             continue
         for stem in all_strings(need):
-            m0 = f.factory(stem + "0" * (u - need), depth)
-            m1 = f.factory(stem + "1" * (u - need), depth)
-            for sigma in all_strings(ell):
-                if m0.value(sigma) != m1.value(sigma):
+            nums0, den0 = f.factory(stem + "0" * (u - need), depth).levels(ell)[ell]
+            nums1, den1 = f.factory(stem + "1" * (u - need), depth).levels(ell)[ell]
+            for i, (v0, v1) in enumerate(zip(nums0, nums1)):
+                if v0 * den1 != v1 * den0:
+                    sigma = str_of((1 << ell) - 1 + i)
                     violations.append(
                         f"value at {sigma or '-'!r} depends on oracle bits "
                         f"beyond use({ell})={need} (stem {stem or '-'})"

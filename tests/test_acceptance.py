@@ -240,7 +240,7 @@ def test_criterion_11_pair_doubling_and_q_transform():
 
 
 def test_criterion_12_cli_determinism(tmp_path):
-    from test_cli import CORPUS
+    from test_cli import CORPUS, subprocess_env
 
     clopen = tmp_path / "c.txt"
     clopen.write_text("0\n10\n110\n")
@@ -251,7 +251,7 @@ def test_criterion_12_cli_determinism(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "recmeasure.cli", *argv],
                 capture_output=True,
-                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+                env=subprocess_env(seed),
             )
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +64,31 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestNegativeOptions:
+    """Negative counts are rejected at the option, before any work."""
+
+    @pytest.mark.parametrize(
+        "option, argv",
+        [
+            ("--n", ["exceed", "--kernel", "savings-coincidence", "--depth", "4",
+                     "--n", "-1"]),
+            ("--depth", ["average", "--kernel", "coincidence", "--depth", "-1"]),
+            ("--prefix-length", ["average", "--kernel", "prefix-coincidence",
+                                 "--prefix-length", "-2", "--depth", "3"]),
+            ("--guard", ["exceed", "--kernel", "coincidence", "--depth", "3",
+                         "--n", "1", "--guard", "-1"]),
+        ],
+        ids=["n", "depth", "prefix-length", "guard"],
+    )
+    def test_rejected_with_exit_2(self, capsys, option, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: must be a natural number" in captured.err
 
 
 class TestCodecCommand:
@@ -176,11 +202,19 @@ CORPUS = [
 ]
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def subprocess_env(hashseed):
+    """A minimal environment that still imports the package from this checkout."""
+    return {"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)}
+
+
 def run_subprocess(argv, hashseed):
     return subprocess.run(
         [sys.executable, "-m", "recmeasure.cli", *argv],
         capture_output=True,
-        env={"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin"},
+        env=subprocess_env(hashseed),
     )
 
 
@@ -194,5 +228,8 @@ class TestDeterminism:
 
     def test_json_mode_deterministic(self, clopen_file):
         argv = ["--json", "measure", clopen_file]
-        runs = [run_subprocess(argv, seed).stdout for seed in ("1", "7", "99")]
-        assert runs[0] == runs[1] == runs[2]
+        procs = [run_subprocess(argv, seed) for seed in ("1", "7", "99")]
+        for proc in procs:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout
+        assert procs[0].stdout == procs[1].stdout == procs[2].stdout
