@@ -20,7 +20,6 @@ from .martingale import (
     TableMartingale,
     capital_trace,
     combine_sum,
-    evaluate,
     savings_transform,
     schnorr_hits,
     success_at,
@@ -35,7 +34,6 @@ from .nulltests import (
     dnr_cover_product,
     engulf_transform,
     kurtz_validate,
-    measure,
     normalize,
 )
 from .oracle import (

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterator
 
 
 def check_bits(sigma: str) -> str:
@@ -16,6 +17,33 @@ def check_bits(sigma: str) -> str:
     if any(c not in "01" for c in sigma):
         raise ValueError(f"not a binary string: {sigma!r}")
     return sigma
+
+
+def read_lines(path) -> Iterator[tuple[str, str]]:
+    """The stripped lines of an ASCII text file, skipping blanks and ``#`` comments.
+
+    Yields ``(where, line)``, where ``where`` is ``path:lineno`` for error
+    messages.  A non-ASCII byte raises ValueError at the line that holds it.
+    """
+    # surrogateescape keeps each undecodable byte on its own line, as U+DC80..U+DCFF
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            where = f"{path}:{lineno}"
+            if not raw.isascii():
+                byte = next(ord(c) - 0xDC00 for c in raw if not c.isascii())
+                raise ValueError(f"{where}: non-ASCII byte {byte:#04x}")
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield where, line
+
+
+def read_bits(token: str, where: str) -> str:
+    """A binary string read from a file, ``-`` standing for the empty string."""
+    sigma = "" if token == "-" else token
+    try:
+        return check_bits(sigma)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def num_of(sigma: str) -> int:

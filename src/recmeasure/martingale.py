@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .codec import check_bits, str_of
+from .codec import check_bits, read_bits, read_lines, str_of
 
 # Capital banked by the savings transform in units of 1; the working part is
 # kept strictly below this cap, so capital along a path never drops by more
@@ -23,6 +23,10 @@ SAVINGS_DROP_BOUND = 2
 # The exact values of all strings of one length, in rank order, as integer
 # numerators over one common denominator.
 Level = tuple[list[int], int]
+
+# A martingale's evaluation state at one string; its first two entries are
+# the exact capital there as numerator and (positive) denominator.
+State = tuple
 
 
 def all_strings(length: int) -> Iterable[str]:
@@ -36,34 +40,56 @@ def strings_up_to(depth: int) -> Iterable[str]:
 
 
 class Martingale:
-    """Base class: a capital function defined on strings of length <= depth."""
+    """Base class: a capital function defined on strings of length <= depth.
+
+    A subclass gives the state at the empty string as ``start`` and the
+    states of ``sigma+"0"`` and ``sigma+"1"`` from the state at ``sigma`` as
+    ``_step``; every evaluation is derived from these two.
+    """
 
     depth: int
+    start: State
+
+    def _step(self, sigma: str, state: State) -> tuple[State, State]:
+        raise NotImplementedError
+
+    def _states(self, path: str) -> Iterator[State]:
+        """The state at every prefix of ``path``, the empty prefix first."""
+        self._check_query(path)
+        state = self.start
+        yield state
+        for n, bit in enumerate(path):
+            state = self._step(path[:n], state)[bit == "1"]
+            yield state
+
+    def walk(self, path: str) -> list[tuple[int, int]]:
+        """Exact capital at every prefix of ``path`` as (numerator, denominator)."""
+        return [state[:2] for state in self._states(path)]
 
     def value(self, sigma: str) -> Fraction:
-        raise NotImplementedError
+        """Exact capital at ``sigma``."""
+        return Fraction(*self.walk(sigma)[-1])
 
     def levels(self, depth: int) -> list[Level]:
         """Exact values of every string of length <= depth, one level per length.
 
         Level n lists the 2^n strings of length n in rank order (see
         :func:`codec.num_of`), so the children of entry i are entries 2i and
-        2i+1 of level n+1.  This default reads :meth:`value`; subclasses that
-        can build a level from the one before override it.
+        2i+1 of level n+1.
         """
         self._check_depth(depth)
+        states = [self.start]
         out = []
         for length in range(depth + 1):
-            values = [self.value(s) for s in all_strings(length)]
-            den = lcm(*(v.denominator for v in values))
-            out.append(([v.numerator * (den // v.denominator) for v in values], den))
+            if length:
+                states = [
+                    child
+                    for sigma, state in zip(all_strings(length - 1), states)
+                    for child in self._step(sigma, state)
+                ]
+            den = lcm(*(state[1] for state in states))
+            out.append(([state[0] * (den // state[1]) for state in states], den))
         return out
-
-    def walk(self, path: str) -> list[tuple[int, int]]:
-        """Exact capital at every prefix of ``path`` as (numerator, denominator)."""
-        self._check_query(path)
-        values = (self.value(path[:n]) for n in range(len(path) + 1))
-        return [(v.numerator, v.denominator) for v in values]
 
     def _check_query(self, sigma: str) -> str:
         check_bits(sigma)
@@ -82,6 +108,10 @@ class Martingale:
             )
 
 
+def _num_den(v: Fraction) -> tuple[int, int]:
+    return v.numerator, v.denominator
+
+
 class TableMartingale(Martingale):
     """Martingale given by an explicit table on all strings up to depth."""
 
@@ -93,10 +123,10 @@ class TableMartingale(Martingale):
         for sigma in strings_up_to(depth):
             if sigma not in self.table:
                 raise ValueError(f"table is missing the string {sigma!r}")
+        self.start = _num_den(self.table[""])
 
-    def value(self, sigma: str) -> Fraction:
-        self._check_query(sigma)
-        return self.table[sigma]
+    def _step(self, sigma: str, state: State) -> tuple[State, State]:
+        return _num_den(self.table[sigma + "0"]), _num_den(self.table[sigma + "1"])
 
 
 class StrategyMartingale(Martingale):
@@ -120,63 +150,20 @@ class StrategyMartingale(Martingale):
         self.depth = depth
         self.initial = Fraction(initial)
         self.rule = rule
-        # prefix-closed: every prefix of a cached string is cached
-        self._cache: dict[str, Fraction] = {"": self.initial}
+        self.start = _num_den(self.initial)
 
-    def _bet(self, sigma: str) -> tuple[int, int, int]:
-        """The checked bet at ``sigma`` as integers (f0, f1, q).
-
-        Capital at sigma+"0" is f0/q times capital at sigma, and at sigma+"1"
-        it is f1/q times.
-        """
+    def _step(self, sigma: str, state: State) -> tuple[State, State]:
         stake, predicted = self.rule(sigma)
         if not isinstance(stake, Rational):
             raise ValueError(f"stake {stake!r} is not an exact rational")
-        if not (0 <= stake <= 1):
+        p, q = stake.numerator, stake.denominator
+        if not 0 <= p <= q:
             raise ValueError(f"stake fraction {stake} outside [0,1]")
         if predicted not in (0, 1):
             raise ValueError(f"predicted bit {predicted!r} not a bit")
-        q = stake.denominator
-        win, lose = q + stake.numerator, q - stake.numerator
-        return (win, lose, q) if predicted == 0 else (lose, win, q)
-
-    def value(self, sigma: str) -> Fraction:
-        self._check_query(sigma)
-        cache = self._cache
-        known = len(sigma)
-        while sigma[:known] not in cache:
-            known -= 1
-        v = cache[sigma[:known]]
-        for n in range(known, len(sigma)):
-            bet = self._bet(sigma[:n])
-            v = Fraction(v.numerator * bet[int(sigma[n])], v.denominator * bet[2])
-            cache[sigma[: n + 1]] = v
-        return v
-
-    def walk(self, path: str) -> list[tuple[int, int]]:
-        self._check_query(path)
-        num, den = self.initial.numerator, self.initial.denominator
-        out = [(num, den)]
-        for n in range(len(path)):
-            bet = self._bet(path[:n])
-            num, den = num * bet[int(path[n])], den * bet[2]
-            out.append((num, den))
-        return out
-
-    def levels(self, depth: int) -> list[Level]:
-        # each level's denominator grows by the lcm of its stake denominators
-        self._check_depth(depth)
-        nums, den = [self.initial.numerator], self.initial.denominator
-        out = [(nums, den)]
-        for length in range(depth):
-            bets = [self._bet(s) for s in all_strings(length)]
-            scale = lcm(*(q for _, _, q in bets))
-            nums = [
-                v * (scale // q) * f for v, (f0, f1, q) in zip(nums, bets) for f in (f0, f1)
-            ]
-            den *= scale
-            out.append((nums, den))
-        return out
+        num, den = state
+        win, lose = (num * (q + p), den * q), (num * (q - p), den * q)
+        return (win, lose) if predicted == 0 else (lose, win)
 
 
 class SumMartingale(Martingale):
@@ -193,10 +180,19 @@ class SumMartingale(Martingale):
                 raise ValueError("weights must be nonnegative")
         self.members = [(Fraction(w), m) for w, m in members]
         self.depth = depths.pop()
+        self.start = self._sum(tuple(m.start for _, m in self.members))
 
-    def value(self, sigma: str) -> Fraction:
-        self._check_query(sigma)
-        return sum((w * m.value(sigma) for w, m in self.members), Fraction(0))
+    def _sum(self, states: tuple[State, ...]) -> State:
+        """The state holding the weighted sum of the members' states."""
+        total = sum(
+            (w * Fraction(s[0], s[1]) for (w, _), s in zip(self.members, states)),
+            Fraction(0),
+        )
+        return total.numerator, total.denominator, states
+
+    def _step(self, sigma: str, state: State) -> tuple[State, State]:
+        zero, one = zip(*(m._step(sigma, s) for (_, m), s in zip(self.members, state[2])))
+        return self._sum(zero), self._sum(one)
 
 
 def _bank(saved: int, active: int, den: int) -> tuple[int, int]:
@@ -205,31 +201,6 @@ def _bank(saved: int, active: int, den: int) -> tuple[int, int]:
         return saved, active
     moved = active // den - (SAVINGS_DROP_BOUND - 1)
     return saved + moved, active - moved * den
-
-
-def _ratio(child: int, child_den: int, parent: int, parent_den: int) -> tuple[int, int]:
-    """base(child)/base(parent) as an integer pair; (1, 1) where the base parent is 0."""
-    if parent == 0:
-        # the base is identically 0 below here, so nothing is at stake
-        return 1, 1
-    return child * parent_den, parent * child_den
-
-
-def _savings_step(
-    saved: list[int], active: list[int], den: int, ratios: list[tuple[int, int]]
-) -> tuple[list[int], list[int], int]:
-    """One savings step for a list of children, on integer numerators.
-
-    Entry j of ``saved`` and ``active`` is the state of the parent of child
-    j, with ``active`` as numerators over ``den``; ``ratios[j]`` is how the
-    base grew into child j.  Returns the children's state over one new
-    denominator, the old one times the lcm of what each child needs.
-    """
-    grown = [(a * x, w) for a, (x, w) in zip(active, ratios)]
-    scale = lcm(*(w // gcd(ax, w) for ax, w in grown))
-    den *= scale
-    banked = [_bank(s, ax * scale // w, den) for s, (ax, w) in zip(saved, grown)]
-    return [s for s, _ in banked], [a for _, a in banked], den
 
 
 class SavingsMartingale(Martingale):
@@ -241,60 +212,33 @@ class SavingsMartingale(Martingale):
     """
 
     def __init__(self, base: Martingale):
-        start = base.value("")
-        if start > 1:
+        num, den = base.start[:2]
+        if num > den:
             raise ValueError("rescale the input so that its initial capital is <= 1")
         self.base = base
         self.depth = base.depth
-        # (banked units, working-part numerator, denominator); prefix-closed
-        self._state: dict[str, tuple[int, int, int]] = {
-            "": (0, start.numerator, start.denominator)
-        }
+        # (capital numerator, denominator, banked units, base state)
+        self.start = (num, den, 0, base.start)
+
+    def _step(self, sigma: str, state: State) -> tuple[State, State]:
+        num, den, saved, parent = state
+        active = num - saved * den
+        children = []
+        for child in self.base._step(sigma, parent):
+            # the working part grows as the base does, by x/w; where the base
+            # parent is 0 it is identically 0 below, so nothing is at stake
+            x, w = (child[0] * parent[1], parent[0] * child[1]) if parent[0] else (1, 1)
+            grown = active * x
+            scale = abs(w) // gcd(grown, w)
+            c_den = den * scale
+            c_saved, c_active = _bank(saved, grown * scale // w, c_den)
+            children.append((c_saved * c_den + c_active, c_den, c_saved, child))
+        return children[0], children[1]
 
     def saved_active(self, sigma: str) -> tuple[int, Fraction]:
-        self._check_query(sigma)
-        state = self._state
-        known = len(sigma)
-        while sigma[:known] not in state:
-            known -= 1
-        saved, active, den = state[sigma[:known]]
-        for n in range(known, len(sigma)):
-            parent, child = self.base.value(sigma[:n]), self.base.value(sigma[: n + 1])
-            ratio = _ratio(child.numerator, child.denominator,
-                           parent.numerator, parent.denominator)
-            [saved], [active], den = _savings_step([saved], [active], den, [ratio])
-            state[sigma[: n + 1]] = (saved, active, den)
-        return saved, Fraction(active, den)
-
-    def value(self, sigma: str) -> Fraction:
-        saved, active = self.saved_active(sigma)
-        return saved + active
-
-    def walk(self, path: str) -> list[tuple[int, int]]:
-        base = self.base.walk(path)
-        saved, active, den = self._state[""]
-        out = [(active, den)]
-        for (p, p_den), (c, c_den) in zip(base, base[1:]):
-            [saved], [active], den = _savings_step(
-                [saved], [active], den, [_ratio(c, c_den, p, p_den)]
-            )
-            out.append((saved * den + active, den))
-        return out
-
-    def levels(self, depth: int) -> list[Level]:
-        base = self.base.levels(depth)
-        _, start, den = self._state[""]
-        saved, active = [0], [start]
-        out = [([start], den)]
-        for (parents, p_den), (children, c_den) in zip(base, base[1:]):
-            ratios = [
-                _ratio(c, c_den, parents[j // 2], p_den) for j, c in enumerate(children)
-            ]
-            saved, active, den = _savings_step(
-                [s for s in saved for _ in "01"], [a for a in active for _ in "01"], den, ratios
-            )
-            out.append(([s * den + a for s, a in zip(saved, active)], den))
-        return out
+        """Banked units and working part at ``sigma``."""
+        num, den, saved, _ = list(self._states(sigma))[-1]
+        return saved, Fraction(num - saved * den, den)
 
 
 @dataclass(frozen=True)
@@ -341,14 +285,9 @@ def validate(m: Martingale, depth: int) -> list[str]:
     return violations
 
 
-def evaluate(m: Martingale, sigma: str) -> Fraction:
-    return m.value(sigma)
-
-
 def capital_trace(m: Martingale, path: str) -> list[Fraction]:
     """Capitals along every prefix of ``path``, including the empty prefix."""
-    m._check_query(path)
-    return [m.value(path[:n]) for n in range(len(path) + 1)]
+    return [Fraction(num, den) for num, den in m.walk(path)]
 
 
 def combine_sum(members: Sequence[tuple[Fraction, Martingale]]) -> SumMartingale:
@@ -381,32 +320,32 @@ def schnorr_hits(m: Martingale, f: BoundFunction, path: str) -> list[int]:
 def load_table(path) -> TableMartingale:
     """Read a martingale table file: one ``<bits|-> <num>/<den>`` per line."""
     table: dict[str, Fraction] = {}
-    with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected '<string> <value>'")
-            sigma = "" if parts[0] == "-" else parts[0]
-            check_bits(sigma)
-            try:
-                value = Fraction(parts[1])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad rational {parts[1]!r}") from exc
-            if sigma in table:
-                raise ValueError(f"{path}:{lineno}: duplicate entry for {parts[0]!r}")
-            table[sigma] = value
+    for where, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{where}: expected '<string> <value>'")
+        sigma = read_bits(parts[0], where)
+        try:
+            value = Fraction(parts[1])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{where}: bad rational {parts[1]!r}") from exc
+        if sigma in table:
+            raise ValueError(f"{where}: duplicate entry for {parts[0]!r}")
+        table[sigma] = value
     if not table:
         raise ValueError(f"{path}: empty martingale table")
     depth = max(len(s) for s in table)
-    return TableMartingale(depth, table)
+    try:
+        return TableMartingale(depth, table)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def dump_table(m: Martingale, depth: int | None = None) -> str:
     depth = m.depth if depth is None else depth
     lines = [
-        f"{sigma or '-'} {m.value(sigma)}" for sigma in strings_up_to(depth)
+        f"{sigma or '-'} {Fraction(num, den)}"
+        for length, (nums, den) in enumerate(m.levels(depth))
+        for sigma, num in zip(all_strings(length), nums)
     ]
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import codec
-from .codec import Family, check_bits, logpart_size, s_index
+from .codec import Family, check_bits, logpart_size, read_bits, read_lines, s_index
 
 
 def _is_antichain(strings: frozenset[str]) -> bool:
@@ -49,10 +49,6 @@ def normalize(strings: Iterable[str]) -> ClopenSet:
         s for s in pool if not any(s != p and s.startswith(p) for p in pool)
     )
     return ClopenSet(kept)
-
-
-def measure(c: ClopenSet) -> Fraction:
-    return c.measure()
 
 
 @dataclass(frozen=True)
@@ -167,51 +163,28 @@ def divergence_partial(e: int, n_max: int) -> Fraction:
 
 def load_clopen(path) -> ClopenSet:
     """Read a clopen set file: one generator per line, ``-`` for the root."""
-    strings = []
-    with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            sigma = "" if line == "-" else line
-            try:
-                check_bits(sigma)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            strings.append(sigma)
-    return normalize(strings)
+    return normalize([read_bits(line, where) for where, line in read_lines(path)])
 
 
 def load_kurtz(path) -> KurtzTest:
     """Read a Kurtz test file: ``[level i]`` sections followed by generators."""
     levels: list[set[str]] = []
     current: set[str] | None = None
-    with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                header = line[1:-1].split()
-                if len(header) != 2 or header[0] != "level":
-                    raise ValueError(f"{path}:{lineno}: bad section {line!r}")
-                try:
-                    index = int(header[1])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad level index") from exc
-                if index != len(levels):
-                    raise ValueError(
-                        f"{path}:{lineno}: expected level {len(levels)}, got {index}"
-                    )
-                current = set()
-                levels.append(current)
-                continue
-            if current is None:
-                raise ValueError(f"{path}:{lineno}: generator before any [level i]")
-            sigma = "" if line == "-" else line
+    for where, line in read_lines(path):
+        if line.startswith("[") and line.endswith("]"):
+            header = line[1:-1].split()
+            if len(header) != 2 or header[0] != "level":
+                raise ValueError(f"{where}: bad section {line!r}")
             try:
-                check_bits(sigma)
+                index = int(header[1])
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            current.add(sigma)
+                raise ValueError(f"{where}: bad level index") from exc
+            if index != len(levels):
+                raise ValueError(f"{where}: expected level {len(levels)}, got {index}")
+            current = set()
+            levels.append(current)
+            continue
+        if current is None:
+            raise ValueError(f"{where}: generator before any [level i]")
+        current.add(read_bits(line, where))
     return KurtzTest(tuple(normalize(level) for level in levels))

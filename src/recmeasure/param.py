@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .codec import check_bits
+from .codec import check_bits, read_lines
 
 Row = tuple[int, ...]
 
@@ -66,14 +66,10 @@ def io_match_report(p: Parametrization, target: str) -> list[tuple[bool, int]]:
 def load_parametrization(path) -> Parametrization:
     """Read a table file: one row per line over the alphabet {0,1,2}."""
     rows = []
-    with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if any(c not in "012" for c in line):
-                raise ValueError(f"{path}:{lineno}: row must be over 0/1/2")
-            rows.append(tuple(int(c) for c in line))
+    for where, line in read_lines(path):
+        if any(c not in "012" for c in line):
+            raise ValueError(f"{where}: row must be over 0/1/2")
+        rows.append(tuple(int(c) for c in line))
     if not rows:
         raise ValueError(f"{path}: empty parametrization")
     if len({len(r) for r in rows}) != 1:

@@ -52,11 +52,18 @@ def pair_doubling_martingale(depth: int) -> StrategyMartingale:
 
 def adversary_sequence(m: Martingale, length: int) -> str:
     """Greedy path along which the martingale never gains; ties pick 0."""
+    if length < 0:
+        raise ValueError(f"length must be a natural number, got {length}")
     if length > m.depth:
         raise ValueError(f"length {length} exceeds martingale depth {m.depth}")
-    path = ""
+    path, state = "", m.start
     for _ in range(length):
-        path += "0" if m.value(path + "0") <= m.value(path + "1") else "1"
+        zero, one = m._step(path, state)
+        # capitals compared as fractions over positive denominators
+        if zero[0] * one[1] <= one[0] * zero[1]:
+            path, state = path + "0", zero
+        else:
+            path, state = path + "1", one
     return path
 
 

@@ -60,10 +60,42 @@ class TestExitCodes:
         path.write_text("01x\n")
         assert main(["measure", str(path)]) == 2
 
+    def test_missing_table_entry_names_file(self, capsys, tmp_path):
+        path = tmp_path / "short.txt"
+        path.write_text("- 1\n0 3/2\n")
+        assert main(["validate", str(path)]) == 2
+        assert f"{path}: table is missing the string '1'" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestBadInputLines:
+    """A bad token or a non-ASCII byte in any file format exits 2 naming path:lineno."""
+
+    @pytest.mark.parametrize(
+        "command, text, lineno, message",
+        [
+            (["validate"], b"- 1\n0 3/2\n2 1/2\n", 3, "not a binary string: '2'"),
+            (["validate"], b"- 1\n0 3/2\n1 1/2 # caf\xe9\n", 3, "non-ASCII byte 0xe9"),
+            (["measure"], b"0\n# comment\n\n10\n1x\n", 5, "not a binary string: '1x'"),
+            (["measure"], b"0\n\xff1\n", 2, "non-ASCII byte 0xff"),
+            (["engulf", "--j", "0"], b"[level 0]\n-\n[level 1]\n0a\n", 4,
+             "not a binary string: '0a'"),
+            (["engulf", "--j", "0"], b"[level 0]\n-\n# \xc3\xa9\n", 3, "non-ASCII byte 0xc3"),
+            (["param"], b"012\n\n0x1\n", 3, "row must be over 0/1/2"),
+            (["param"], b"012\n\x80\n", 2, "non-ASCII byte 0x80"),
+        ],
+        ids=["table-token", "table-byte", "clopen-token", "clopen-byte",
+             "kurtz-token", "kurtz-byte", "param-token", "param-byte"],
+    )
+    def test_exits_2_at_the_line(self, capsys, tmp_path, command, text, lineno, message):
+        path = tmp_path / "input.txt"
+        path.write_bytes(text)
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert f"error: {path}:{lineno}: {message}" in capsys.readouterr().err
 
 
 class TestNegativeOptions:

@@ -1,14 +1,20 @@
-"""The level engine agrees exactly with value(), node by node."""
+"""Every evaluation derived from a martingale's step agrees exactly with a
+Fraction reference computed here, node by node."""
 
 from fractions import Fraction
+from math import floor
 
 import pytest
 
 from recmeasure.martingale import (
+    SAVINGS_DROP_BOUND,
     Martingale,
+    SavingsMartingale,
     StrategyMartingale,
+    SumMartingale,
     TableMartingale,
     all_strings,
+    capital_trace,
     combine_sum,
     savings_transform,
     strings_up_to,
@@ -31,8 +37,37 @@ from test_oracle import brute_force_average
 DEPTH = 6
 
 
+def reference_value(m: Martingale, sigma: str) -> Fraction:
+    """Capital at sigma on Fractions, from the definition of each kind and not its step."""
+    if isinstance(m, TableMartingale):
+        return m.table[sigma]
+    if isinstance(m, SumMartingale):
+        return sum((w * reference_value(x, sigma) for w, x in m.members), Fraction(0))
+    if isinstance(m, SavingsMartingale):
+        saved, active = reference_saved_active(m, sigma)
+        return saved + active
+    v = m.initial
+    for n, bit in enumerate(sigma):
+        stake, predicted = m.rule(sigma[:n])
+        v *= 1 + stake if int(bit) == predicted else 1 - stake
+    return v
+
+
+def reference_saved_active(m: SavingsMartingale, sigma: str) -> tuple[int, Fraction]:
+    """Bank and working part, moved along sigma with the base's reference values."""
+    saved, active = 0, reference_value(m.base, "")
+    for n in range(len(sigma)):
+        parent = reference_value(m.base, sigma[:n])
+        if parent != 0:
+            active *= reference_value(m.base, sigma[: n + 1]) / parent
+        if active >= SAVINGS_DROP_BOUND:
+            moved = floor(active) - (SAVINGS_DROP_BOUND - 1)
+            saved, active = saved + moved, active - moved
+    return saved, active
+
+
 def values_by_level(m: Martingale, depth: int) -> list[list[Fraction]]:
-    return [[m.value(s) for s in all_strings(n)] for n in range(depth + 1)]
+    return [[reference_value(m, s) for s in all_strings(n)] for n in range(depth + 1)]
 
 
 def as_fractions(levels) -> list[list[Fraction]]:
@@ -60,14 +95,14 @@ def thirds_strategy(depth: int, ref: str) -> StrategyMartingale:
 
 
 def reference_validate(m: Martingale, depth: int) -> list[str]:
-    """The value()-based validator, kept as the reference for the level engine."""
+    """A node-by-node validator on reference values, the reference for validate()."""
     violations = []
     for sigma in strings_up_to(depth):
-        v = m.value(sigma)
+        v = reference_value(m, sigma)
         if v < 0:
             violations.append(f"negative value {v} at {sigma or 'λ'!r}")
         if len(sigma) < depth:
-            left, right = m.value(sigma + "0"), m.value(sigma + "1")
+            left, right = reference_value(m, sigma + "0"), reference_value(m, sigma + "1")
             if 2 * v != left + right:
                 violations.append(
                     f"averaging violated at {sigma or 'λ'!r}: "
@@ -92,7 +127,6 @@ def all_kinds(rng) -> list[Martingale]:
 
 class TestLevels:
     def test_levels_equal_values(self, rng):
-        # levels runs first, on objects whose value() caches are still empty
         for m in all_kinds(rng):
             levels = m.levels(DEPTH)
             assert as_fractions(levels) == values_by_level(m, DEPTH), type(m).__name__
@@ -106,7 +140,18 @@ class TestLevels:
         for m in all_kinds(rng):
             for leaf in all_strings(DEPTH):
                 walked = [Fraction(v, den) for v, den in m.walk(leaf)]
-                assert walked == [m.value(leaf[:n]) for n in range(DEPTH + 1)]
+                assert walked == [reference_value(m, leaf[:n]) for n in range(DEPTH + 1)]
+
+    def test_value_and_saved_active_equal_reference(self, rng):
+        kinds = all_kinds(rng)
+        assert {type(m) for m in kinds} == {
+            StrategyMartingale, TableMartingale, SavingsMartingale, SumMartingale
+        }
+        for m in kinds:
+            for sigma in strings_up_to(DEPTH):
+                assert m.value(sigma) == reference_value(m, sigma), type(m).__name__
+                if isinstance(m, SavingsMartingale):
+                    assert m.saved_active(sigma) == reference_saved_active(m, sigma)
 
     def test_depth_checks(self, rng):
         m = random_strategy_martingale(rng, 3)
@@ -190,7 +235,8 @@ class TestOracleEngine:
                         tau
                         for tau in all_strings(f.use_bound(len(path)))
                         if any(
-                            f.factory(tau, len(path)).value(path[:i]) > threshold
+                            reference_value(f.factory(tau, len(path)), path[:i])
+                            > threshold
                             for i in range(len(path) + 1)
                         )
                     ]
@@ -218,7 +264,7 @@ class TestDeepQueries:
         saved, active = s.saved_active(ref)
         assert got == saved + active and 1 <= active < 2
 
-    def test_prefix_cache_keeps_rule_calls(self):
+    def test_rule_calls_per_step(self):
         calls = []
         ref = "0110" * 50
 
@@ -228,7 +274,11 @@ class TestDeepQueries:
 
         m = StrategyMartingale(len(ref), Fraction(1), rule)
         path = adversary_sequence(m, len(ref))
-        # one rule call per child looked at, none repeated afterwards
+        # one rule call per greedy step: both children come from one step
+        assert len(calls) == len(ref)
+        # the trace of that path, as the adversary command prints it
+        capital_trace(m, path)
         assert len(calls) == 2 * len(ref)
-        [m.value(path[:n]) for n in range(len(path) + 1)]
-        assert len(calls) == 2 * len(ref)
+        calls.clear()
+        m.value(path)
+        assert len(calls) == len(path)

@@ -121,6 +121,10 @@ class TestAdversary:
         with pytest.raises(ValueError):
             adversary_sequence(coincidence_martingale("01"), 3)
 
+    def test_negative_length_errors(self):
+        with pytest.raises(ValueError, match="natural number"):
+            adversary_sequence(coincidence_martingale("01"), -1)
+
 
 class TestPruneLargest:
     def test_example(self):
