@@ -327,6 +327,9 @@ def render(report: dict, as_json: bool) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact answers can pass the interpreter's 4300-digit int-to-str cap
+        sys.set_int_max_str_digits(0)
     inputs = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -334,7 +337,7 @@ def main(argv=None) -> int:
     }
     try:
         results, violations = args.handler(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     report = {

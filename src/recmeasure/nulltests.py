@@ -14,10 +14,22 @@ from . import codec
 from .codec import Family, check_bits, logpart_size, read_bits, read_lines, s_index
 
 
+def _minimal(words: Iterable[str]) -> list[str]:
+    """The words with no proper prefix among the others, sorted, duplicates dropped.
+
+    In lexicographic order the extensions of a word follow it directly, so a
+    word has a proper prefix or a copy before it exactly when the last kept
+    word is a prefix of it.
+    """
+    kept: list[str] = []
+    for w in sorted(words):
+        if not kept or not w.startswith(kept[-1]):
+            kept.append(w)
+    return kept
+
+
 def _is_antichain(strings: frozenset[str]) -> bool:
-    return not any(
-        a != b and b.startswith(a) for a in strings for b in strings
-    )
+    return len(_minimal(strings)) == len(strings)
 
 
 @dataclass(frozen=True)
@@ -31,9 +43,9 @@ class ClopenSet:
             raise ValueError("generators must form an antichain")
 
     def measure(self) -> Fraction:
-        return sum(
-            (Fraction(1, 2 ** len(g)) for g in self.generators), Fraction(0)
-        )
+        # every 2^-|g| over the one denominator 2^top
+        top = max(map(len, self.generators), default=0)
+        return Fraction(sum(1 << (top - len(g)) for g in self.generators), 1 << top)
 
     def sorted_generators(self) -> list[str]:
         return sorted(self.generators, key=lambda g: (len(g), g))
@@ -44,11 +56,7 @@ EMPTY = ClopenSet(frozenset())
 
 def normalize(strings: Iterable[str]) -> ClopenSet:
     """Drop every string that has a proper prefix in the set."""
-    pool = {check_bits(s) for s in strings}
-    kept = frozenset(
-        s for s in pool if not any(s != p and s.startswith(p) for p in pool)
-    )
-    return ClopenSet(kept)
+    return ClopenSet(frozenset(_minimal(check_bits(s) for s in strings)))
 
 
 @dataclass(frozen=True)

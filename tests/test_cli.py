@@ -1,11 +1,15 @@
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from recmeasure import cli
 from recmeasure.cli import main
+from recmeasure.nulltests import dnr_cover_product
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +37,17 @@ def good_table_file(tmp_path):
     path = tmp_path / "good.txt"
     path.write_text("- 1\n0 3/2\n1 1/2\n")
     return str(path)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Put back the int-to-str digit limit that cli.main lifts for its process."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 class TestExitCodes:
@@ -70,6 +85,26 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestUncaughtErrors:
+    """A failure to compute exits 2 with a message; exit 1 is kept for violations."""
+
+    @pytest.mark.parametrize(
+        "exc",
+        [RuntimeError("comparison failed"), RecursionError("too deep"),
+         MemoryError("out of memory")],
+        ids=["runtime", "recursion", "memory"],
+    )
+    def test_exits_2_with_the_message(self, capsys, monkeypatch, exc):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_dnr_cover", handler)
+        assert main(["dnr-cover", "--e", "0", "--n", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {exc}\n"
 
 
 class TestBadInputLines:
@@ -198,6 +233,15 @@ class TestOtherCommands:
         code, out = run_cli(capsys, "dnr-cover", "--e", "0", "--n", "0")
         assert code == 0 and "P_0: 7/8" in out
 
+    def test_dnr_cover_past_the_int_digit_limit(self, capsys, int_digit_limit):
+        code, out = run_cli(capsys, "dnr-cover", "--e", "3", "--n", "900")
+        assert code == 0
+        num, den = next(
+            line for line in out.splitlines() if line.startswith("P_900: ")
+        ).removeprefix("P_900: ").split("/")
+        assert len(den) > 4300
+        assert Fraction(int(num), int(den)) == dnr_cover_product(3, 900)[-1]
+
     def test_param(self, capsys, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("021\n222\n")
@@ -264,4 +308,25 @@ class TestDeterminism:
         for proc in procs:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout
+        assert procs[0].stdout == procs[1].stdout == procs[2].stdout
+
+    def test_engulf_deterministic(self, tmp_path):
+        rng = random.Random(4)
+        rows = []
+        for r in range(2):
+            lines = []
+            for i in range(5):
+                # 60 words of length i + 7 keep the measure <= 2^-i;
+                # their extensions are covered and normalize drops them
+                words = {format(rng.getrandbits(i + 7), f"0{i + 7}b") for _ in range(60)}
+                words |= {w + format(rng.getrandbits(3), "03b") for w in sorted(words)[:20]}
+                lines += [f"[level {i}]", *sorted(words)]
+            path = tmp_path / f"row{r}.txt"
+            path.write_text("\n".join(lines) + "\n")
+            rows.append(str(path))
+        argv = ["engulf", *rows, "--j", "1"]
+        procs = [run_subprocess(argv, seed) for seed in ("1", "7", "99")]
+        for proc in procs:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.count(b"generator_") > 60
         assert procs[0].stdout == procs[1].stdout == procs[2].stdout

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recmeasure.codec import Family, interval
 from recmeasure.nulltests import (
@@ -54,6 +56,64 @@ class TestNormalize:
     def test_direct_construction_requires_antichain(self):
         with pytest.raises(ValueError):
             ClopenSet(frozenset(["0", "01"]))
+
+
+def quadratic_minimal(words) -> frozenset[str]:
+    """All-pairs reference: the words with no proper prefix among the others."""
+    pool = set(words)
+    return frozenset(
+        w for w in pool if not any(w != p and w.startswith(p) for p in pool)
+    )
+
+
+@st.composite
+def word_lists(draw) -> list[str]:
+    """Mixed lengths with duplicates, the empty word and prefix chains."""
+    words = draw(st.lists(st.text(alphabet="01", max_size=10), max_size=25))
+    for w in list(words):
+        cuts = draw(st.sets(st.integers(0, len(w)), max_size=3))
+        words += [w[:k] for k in cuts]
+    if words:
+        words += draw(st.lists(st.sampled_from(words), max_size=5))
+    return draw(st.permutations(words))
+
+
+class TestSortedScan:
+    """normalize, the antichain check and measure against all-pairs references."""
+
+    @given(word_lists())
+    def test_normalize_keeps_the_minimal_words(self, words):
+        assert normalize(words).generators == quadratic_minimal(words)
+
+    @given(word_lists())
+    def test_clopen_set_rejects_exactly_the_non_antichains(self, words):
+        pool = frozenset(words)
+        nested = any(a != b and b.startswith(a) for a in pool for b in pool)
+        if nested:
+            with pytest.raises(ValueError, match="generators must form an antichain"):
+                ClopenSet(pool)
+        else:
+            assert ClopenSet(pool).generators == pool
+
+    @given(word_lists())
+    def test_measure_is_the_dyadic_sum(self, words):
+        minimal = quadratic_minimal(words)
+        expected = sum((Fraction(1, 2 ** len(g)) for g in minimal), Fraction(0))
+        assert ClopenSet(minimal).measure() == expected
+        assert normalize(words).measure() == expected
+
+    def test_non_binary_generator_rejected(self):
+        with pytest.raises(ValueError, match="not a binary string: '2'"):
+            ClopenSet(frozenset(["0", "2"]))
+        with pytest.raises(ValueError, match="not a binary string: '0a'"):
+            normalize(["0a", "0"])
+
+    def test_normalize_takes_any_iterable(self):
+        expected = frozenset(["0", "1"])
+        words = ["0", "00", "1", "0"]
+        assert normalize(w for w in words).generators == expected
+        assert normalize(set(words)).generators == expected
+        assert normalize(tuple(words)).generators == expected
 
 
 class TestMeasure:
