@@ -219,9 +219,7 @@ def cmd_param(args) -> tuple[list[Result], list[str]]:
         p = param.halve_transform(p)
     results: list[Result] = [("depth", str(p.depth))]
     if args.halve:
-        results += [
-            (f"row_{i}", "".join(map(str, row))) for i, row in enumerate(p.rows)
-        ]
+        results += [(f"row_{i}", row) for i, row in enumerate(p.rows)]
     if args.target is not None:
         report = param.io_match_report(p, args.target)
         results += [
@@ -241,16 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codec", help="string/number codec and pairing")
     p.add_argument("--num", metavar="BITS", help="rank of a string ('-' for the empty string)")
-    p.add_argument("--str", type=int, metavar="N", help="string of a rank")
-    p.add_argument("--pair", nargs=2, type=int, metavar=("A", "B"))
-    p.add_argument("--s", nargs=2, type=int, metavar=("E", "N"))
+    p.add_argument("--str", type=natural, metavar="N", help="string of a rank")
+    p.add_argument("--pair", nargs=2, type=natural, metavar=("A", "B"))
+    p.add_argument("--s", nargs=2, type=natural, metavar=("E", "N"))
     p.add_argument("--interval", nargs=2, metavar=("FAMILY", "M"),
                    help="FAMILY in {logpart,pow2,pow3}")
     p.add_argument("--parity", type=int, metavar="X")
     p.set_defaults(handler=cmd_codec)
 
     p = sub.add_parser("budget", help="dyadic budget sequence")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=natural, required=True)
     p.set_defaults(handler=cmd_budget)
 
     p = sub.add_parser("validate", help="validate a martingale table file")
@@ -298,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("engulf", help="diagonal union of Kurtz test rows")
     p.add_argument("rows", nargs="+", help="Kurtz test files, one per row")
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--i-max", type=int)
+    p.add_argument("--j", type=natural, required=True)
+    p.add_argument("--i-max", type=natural)
     p.set_defaults(handler=cmd_engulf)
 
     p = sub.add_parser("dnr-cover", help="avoidance cover partial products")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="number of factors minus one")
+    p.add_argument("--e", type=natural, required=True)
+    p.add_argument("--n", type=natural, required=True, help="number of factors minus one")
     p.set_defaults(handler=cmd_dnr_cover)
 
     p = sub.add_parser("param", help="prediction table reports")

@@ -14,7 +14,7 @@ from typing import Iterator
 
 def check_bits(sigma: str) -> str:
     """Reject anything that is not a word over {0,1}."""
-    if any(c not in "01" for c in sigma):
+    if sigma.strip("01"):
         raise ValueError(f"not a binary string: {sigma!r}")
     return sigma
 

@@ -112,6 +112,13 @@ def _num_den(v: Fraction) -> tuple[int, int]:
     return v.numerator, v.denominator
 
 
+def _rational(what: str, x) -> Rational:
+    """``x`` itself if it is an exact rational (int or Fraction, not float)."""
+    if not isinstance(x, Rational):
+        raise ValueError(f"{what} {x!r} is not an exact rational")
+    return x
+
+
 class TableMartingale(Martingale):
     """Martingale given by an explicit table on all strings up to depth."""
 
@@ -119,7 +126,7 @@ class TableMartingale(Martingale):
         if depth < 0:
             raise ValueError("depth must be a natural number")
         self.depth = depth
-        self.table = {s: Fraction(v) for s, v in table.items()}
+        self.table = {s: Fraction(_rational("table value", v)) for s, v in table.items()}
         for sigma in strings_up_to(depth):
             if sigma not in self.table:
                 raise ValueError(f"table is missing the string {sigma!r}")
@@ -145,7 +152,7 @@ class StrategyMartingale(Martingale):
     ):
         if depth < 0:
             raise ValueError("depth must be a natural number")
-        if initial < 0:
+        if _rational("initial capital", initial) < 0:
             raise ValueError("initial capital must be nonnegative")
         self.depth = depth
         self.initial = Fraction(initial)
@@ -154,8 +161,7 @@ class StrategyMartingale(Martingale):
 
     def _step(self, sigma: str, state: State) -> tuple[State, State]:
         stake, predicted = self.rule(sigma)
-        if not isinstance(stake, Rational):
-            raise ValueError(f"stake {stake!r} is not an exact rational")
+        _rational("stake", stake)
         p, q = stake.numerator, stake.denominator
         if not 0 <= p <= q:
             raise ValueError(f"stake fraction {stake} outside [0,1]")
@@ -176,7 +182,7 @@ class SumMartingale(Martingale):
         if len(depths) != 1:
             raise ValueError(f"mismatched depths: {sorted(depths)}")
         for w, _ in members:
-            if w < 0:
+            if _rational("weight", w) < 0:
                 raise ValueError("weights must be nonnegative")
         self.members = [(Fraction(w), m) for w, m in members]
         self.depth = depths.pop()

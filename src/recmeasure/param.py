@@ -1,8 +1,9 @@
 """Finite prediction tables over {0,1,2}: consistency, hits, halving.
 
-Each row predicts bits of a set; the symbol 2 means "abstain".  The halve
-transform folds predictions about a doubled sequence (every bit repeated)
-into predictions about its half.
+Each row predicts bits of a set; the symbol 2 means "abstain".  A row is a
+plain ``str`` over ``"0"``, ``"1"`` and ``"2"``, like the codec's binary
+words.  The halve transform folds predictions about a doubled sequence
+(every bit repeated) into predictions about its half.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Sequence
 
 from .codec import check_bits, read_lines
 
-Row = tuple[int, ...]
+Row = str
 
 
 @dataclass(frozen=True)
@@ -22,16 +23,16 @@ class Parametrization:
 
     def __post_init__(self) -> None:
         for row in self.rows:
+            if not isinstance(row, str) or row.strip("012"):
+                raise ValueError(f"row symbols must be in {{0,1,2}}: {row!r}")
             if len(row) != self.depth:
                 raise ValueError("all rows must have the common depth")
-            if any(symbol not in (0, 1, 2) for symbol in row):
-                raise ValueError("row symbols must be in {0,1,2}")
 
 
-def make_parametrization(rows: Sequence[Sequence[int]]) -> Parametrization:
+def make_parametrization(rows: Sequence[Row]) -> Parametrization:
     if not rows:
         raise ValueError("need at least one row")
-    return Parametrization(tuple(tuple(r) for r in rows), len(rows[0]))
+    return Parametrization(tuple(rows), len(rows[0]))
 
 
 def consistent(row: Row, target: str) -> bool:
@@ -39,22 +40,19 @@ def consistent(row: Row, target: str) -> bool:
     check_bits(target)
     if len(target) < len(row):
         raise ValueError("target must be at least as long as the row")
-    return all(p == 2 or p == int(a) for p, a in zip(row, target))
+    return all(p == "2" or p == a for p, a in zip(row, target))
 
 
 def hits(row: Row) -> int:
     """Number of positions where the row commits to a bit."""
-    return sum(1 for p in row if p != 2)
+    return len(row) - row.count("2")
 
 
 def halve_transform(p: Parametrization) -> Parametrization:
-    """Fold each row pairwise: Q(x) = min(P(2x), P(2x+1)) under 0 < 1 < 2."""
+    """Fold each row pairwise: Q(x) = min(P(2x), P(2x+1)) under "0" < "1" < "2"."""
     if p.depth % 2:
         raise ValueError("depth must be even")
-    folded = tuple(
-        tuple(min(row[2 * x], row[2 * x + 1]) for x in range(p.depth // 2))
-        for row in p.rows
-    )
+    folded = tuple("".join(map(min, row[::2], row[1::2])) for row in p.rows)
     return Parametrization(folded, p.depth // 2)
 
 
@@ -67,9 +65,9 @@ def load_parametrization(path) -> Parametrization:
     """Read a table file: one row per line over the alphabet {0,1,2}."""
     rows = []
     for where, line in read_lines(path):
-        if any(c not in "012" for c in line):
+        if line.strip("012"):
             raise ValueError(f"{where}: row must be over 0/1/2")
-        rows.append(tuple(int(c) for c in line))
+        rows.append(line)
     if not rows:
         raise ValueError(f"{path}: empty parametrization")
     if len({len(r) for r in rows}) != 1:

@@ -230,9 +230,7 @@ def test_criterion_11_pair_doubling_and_q_transform():
             half = "".join(half_bits)
             target = "".join(b + b for b in half)
             for mask in itertools.product((False, True), repeat=depth):
-                row = tuple(
-                    int(target[x]) if mask[x] else 2 for x in range(depth)
-                )
+                row = "".join(target[x] if mask[x] else "2" for x in range(depth))
                 q = halve_transform(make_parametrization([row])).rows[0]
                 assert consistent(q, half)
                 assert hits(q) >= -(-hits(row) // 2)

@@ -146,8 +146,18 @@ class TestNegativeOptions:
                                  "--prefix-length", "-2", "--depth", "3"]),
             ("--guard", ["exceed", "--kernel", "coincidence", "--depth", "3",
                          "--n", "1", "--guard", "-1"]),
+            ("--k", ["budget", "--k", "-1"]),
+            ("--e", ["dnr-cover", "--e", "-1", "--n", "3"]),
+            ("--n", ["dnr-cover", "--e", "0", "--n", "-3"]),
+            ("--j", ["engulf", "row.txt", "--j", "-1"]),
+            ("--i-max", ["engulf", "row.txt", "--j", "0", "--i-max", "-1"]),
+            ("--str", ["codec", "--str", "-5"]),
+            ("--pair", ["codec", "--pair", "3", "-1"]),
+            ("--s", ["codec", "--s", "-2", "4"]),
         ],
-        ids=["n", "depth", "prefix-length", "guard"],
+        ids=["n", "depth", "prefix-length", "guard", "budget-k", "dnr-cover-e",
+             "dnr-cover-n", "engulf-j", "engulf-i-max", "codec-str", "codec-pair",
+             "codec-s"],
     )
     def test_rejected_with_exit_2(self, capsys, option, argv):
         with pytest.raises(SystemExit) as exc:

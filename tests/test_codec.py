@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from recmeasure.codec import (
     Family,
     budget_sequence,
+    check_bits,
     interval,
     logpart_size,
     num_of,
@@ -56,6 +57,18 @@ class TestNumStr:
     def test_rank_bounds(self, sigma):
         n = num_of(sigma)
         assert 2 ** len(sigma) - 1 <= n <= 2 ** (len(sigma) + 1) - 2
+
+    @given(st.one_of(
+        st.text(),
+        st.text(alphabet="01 \t\n\r2"),
+        st.sampled_from(["", "2", " ", "\n", "0\n", " 01", "0é1", "1\u0661"]),
+    ))
+    def test_check_bits_is_per_character(self, sigma):
+        if all(c in "01" for c in sigma):
+            assert check_bits(sigma) is sigma
+        else:
+            with pytest.raises(ValueError, match="not a binary string"):
+                check_bits(sigma)
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):

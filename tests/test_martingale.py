@@ -54,6 +54,10 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(constant_one(2), 3)
 
+    def test_float_table_value_rejected(self):
+        with pytest.raises(ValueError, match="table value 0.5 is not an exact rational"):
+            TableMartingale(1, {"": Fraction(1), "0": 0.5, "1": Fraction(3, 2)})
+
     def test_incomplete_table_rejected(self):
         with pytest.raises(ValueError):
             TableMartingale(1, {"": Fraction(1), "0": Fraction(1)})
@@ -67,6 +71,14 @@ class TestEvaluate:
         m = coincidence_martingale("0000")
         assert m.value("00") == Fraction(9, 4)
         assert m.value("01") == Fraction(3, 4)
+
+    def test_float_initial_capital_rejected(self):
+        def rule(sigma):
+            return Fraction(1, 2), 0
+
+        with pytest.raises(ValueError, match="initial capital 0.1 is not an exact rational"):
+            StrategyMartingale(2, 0.1, rule)
+        assert StrategyMartingale(2, 3, rule).value("00") == Fraction(27, 4)
 
     def test_out_of_depth_query_errors(self):
         with pytest.raises(ValueError):
@@ -127,6 +139,11 @@ class TestCombineSum:
     def test_depth_mismatch_errors(self):
         with pytest.raises(ValueError):
             combine_sum([(Fraction(1), constant_one(2)), (Fraction(1), constant_one(3))])
+
+    def test_float_weight_rejected(self):
+        with pytest.raises(ValueError, match="weight 0.5 is not an exact rational"):
+            combine_sum([(0.5, constant_one(2))])
+        assert combine_sum([(2, constant_one(2))]).value("01") == 2
 
     def test_negative_weight_errors(self):
         with pytest.raises(ValueError):

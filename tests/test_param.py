@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recmeasure.param import (
     Parametrization,
@@ -15,48 +17,48 @@ from recmeasure.param import (
 
 class TestConsistent:
     def test_all_abstain_is_vacuous(self):
-        assert consistent((2, 2, 2), "101")
+        assert consistent("222", "101")
 
     def test_exact_copy(self):
-        assert consistent((1, 0, 1), "101")
+        assert consistent("101", "101")
 
     def test_positionwise(self):
-        assert consistent((0, 2, 1), "001")
-        assert not consistent((0, 2, 1), "101")
+        assert consistent("021", "001")
+        assert not consistent("021", "101")
 
     def test_target_too_short(self):
         with pytest.raises(ValueError):
-            consistent((0, 1), "0")
+            consistent("01", "0")
 
 
 class TestHits:
     def test_counts(self):
-        assert hits((2, 2, 2)) == 0
-        assert hits((0, 2, 1)) == 2
-        assert hits((1, 0, 1, 1)) == 4
+        assert hits("222") == 0
+        assert hits("021") == 2
+        assert hits("1011") == 4
 
 
 class TestHalve:
     def test_min_picks_commitment(self):
-        p = make_parametrization([(2, 0)])
-        assert halve_transform(p).rows == ((0,),)
+        p = make_parametrization(["20"])
+        assert halve_transform(p).rows == ("0",)
 
     def test_double_abstain_stays(self):
-        p = make_parametrization([(2, 2)])
-        assert halve_transform(p).rows == ((2,),)
+        p = make_parametrization(["22"])
+        assert halve_transform(p).rows == ("2",)
 
     def test_positionwise_min(self):
-        p = make_parametrization([(1, 1, 0, 2)])
-        assert halve_transform(p).rows == ((1, 0),)
+        p = make_parametrization(["1102"])
+        assert halve_transform(p).rows == ("10",)
 
     def test_odd_depth_rejected(self):
         with pytest.raises(ValueError):
-            halve_transform(make_parametrization([(0, 1, 2)]))
+            halve_transform(make_parametrization(["012"]))
 
 
 class TestReport:
     def test_combines_predicates(self):
-        p = make_parametrization([(2, 2, 2), (1, 0, 1), (0, 2, 1)])
+        p = make_parametrization(["222", "101", "021"])
         assert io_match_report(p, "101") == [(True, 0), (True, 3), (False, 2)]
 
 
@@ -74,9 +76,7 @@ class TestHalveSoundness:
             half = "".join(half_bits)
             target = doubled(half)
             for mask in itertools.product((False, True), repeat=depth):
-                row = tuple(
-                    int(target[x]) if mask[x] else 2 for x in range(depth)
-                )
+                row = "".join(target[x] if mask[x] else "2" for x in range(depth))
                 assert consistent(row, target)
                 q = halve_transform(make_parametrization([row])).rows[0]
                 assert consistent(q, half)
@@ -88,7 +88,8 @@ class TestHalveSoundness:
         for half_bits in itertools.product("01", repeat=2):
             half = "".join(half_bits)
             target = doubled(half)
-            for row in itertools.product((0, 1, 2), repeat=4):
+            for symbols in itertools.product("012", repeat=4):
+                row = "".join(symbols)
                 q = halve_transform(make_parametrization([row])).rows[0]
                 if consistent(row, target):
                     assert consistent(q, half)
@@ -98,11 +99,11 @@ class TestHalveSoundness:
         # replacing an abstention by the correct bit never breaks the fold
         half = "010"
         target = doubled(half)
-        row = (2, 0, 2, 1, 2, 0)
+        row = "202120"
         assert consistent(row, target)
         for x in range(6):
-            if row[x] == 2:
-                refined = row[:x] + (int(target[x]),) + row[x + 1 :]
+            if row[x] == "2":
+                refined = row[:x] + target[x] + row[x + 1 :]
                 q = halve_transform(make_parametrization([refined])).rows[0]
                 assert consistent(q, half)
 
@@ -112,7 +113,7 @@ class TestIO:
         path = tmp_path / "p.txt"
         path.write_text("202\n111\n# note\n")
         p = load_parametrization(path)
-        assert p.rows == ((2, 0, 2), (1, 1, 1))
+        assert p.rows == ("202", "111")
         assert p.depth == 3
 
     def test_rejects_bad_symbol(self, tmp_path):
@@ -130,3 +131,44 @@ class TestIO:
     def test_rejects_bad_symbols_in_constructor(self):
         with pytest.raises(ValueError):
             Parametrization(((0, 3),), 2)
+
+    def test_rejects_tuple_row(self):
+        with pytest.raises(ValueError, match=r"row symbols must be in \{0,1,2\}"):
+            Parametrization(((0, 1),), 2)
+
+    def test_rejects_symbol_3(self):
+        with pytest.raises(ValueError, match="'031'"):
+            Parametrization(("031",), 3)
+
+
+# The int-tuple definitions that rows as words must agree with: a row is a
+# tuple over 0, 1, 2 and 2 abstains.
+def tuple_consistent(row: tuple[int, ...], target: str) -> bool:
+    return all(p == 2 or p == int(a) for p, a in zip(row, target))
+
+
+def tuple_hits(row: tuple[int, ...]) -> int:
+    return sum(1 for p in row if p != 2)
+
+
+def tuple_halve(row: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(min(row[2 * x], row[2 * x + 1]) for x in range(len(row) // 2))
+
+
+@st.composite
+def rows_and_targets(draw):
+    depth = 2 * draw(st.integers(0, 20))
+    row = draw(st.text(alphabet="012", min_size=depth, max_size=depth))
+    target = draw(st.text(alphabet="01", min_size=depth, max_size=depth + 3))
+    return row, target
+
+
+class TestMatchesTupleDefinitions:
+    @given(rows_and_targets())
+    def test_consistent_hits_halve(self, row_target):
+        row, target = row_target
+        as_tuple = tuple(int(c) for c in row)
+        assert consistent(row, target) == tuple_consistent(as_tuple, target)
+        assert hits(row) == tuple_hits(as_tuple)
+        folded = halve_transform(make_parametrization([row])).rows[0]
+        assert folded == "".join(map(str, tuple_halve(as_tuple)))
