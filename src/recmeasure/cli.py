@@ -15,6 +15,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 
+FAMILIES = [f.value for f in codec.Family]
+
 
 def fmt(value) -> str:
     if isinstance(value, Fraction):
@@ -30,6 +32,17 @@ def natural(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a natural number, got {value}")
     return value
+
+
+class IntervalOption(argparse.Action):
+    """``--interval FAMILY M``: FAMILY must name a family and M be natural."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values[0] not in FAMILIES:
+            raise argparse.ArgumentError(self, f"invalid family {values[0]!r}, not in {FAMILIES}")
+        if not values[1].isdecimal():
+            raise argparse.ArgumentError(self, f"must be a natural number, got {values[1]!r}")
+        setattr(namespace, self.dest, values)
 
 
 def _show(sigma: str) -> str:
@@ -133,8 +146,9 @@ def cmd_average(args) -> tuple[list[Result], list[str]]:
     n = oracle.averaged_martingale(f, args.depth, guard=args.guard)
     results: list[Result] = [("kernel", f.name)]
     results += [
-        (f"N({_show(sigma)})", fmt(n.value(sigma)))
-        for sigma in martingale.strings_up_to(args.depth)
+        (f"N({_show(sigma)})", fmt(Fraction(num, den)))
+        for length, (nums, den) in enumerate(n.levels(args.depth))
+        for sigma, num in zip(martingale.all_strings(length), nums)
     ]
     violations = martingale.validate(n, args.depth)
     return results, violations
@@ -242,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--str", type=natural, metavar="N", help="string of a rank")
     p.add_argument("--pair", nargs=2, type=natural, metavar=("A", "B"))
     p.add_argument("--s", nargs=2, type=natural, metavar=("E", "N"))
-    p.add_argument("--interval", nargs=2, metavar=("FAMILY", "M"),
+    p.add_argument("--interval", nargs=2, metavar=("FAMILY", "M"), action=IntervalOption,
                    help="FAMILY in {logpart,pow2,pow3}")
     p.add_argument("--parity", type=int, metavar="X")
     p.set_defaults(handler=cmd_codec)

@@ -189,12 +189,15 @@ class SumMartingale(Martingale):
         self.start = self._sum(tuple(m.start for _, m in self.members))
 
     def _sum(self, states: tuple[State, ...]) -> State:
-        """The state holding the weighted sum of the members' states."""
-        total = sum(
-            (w * Fraction(s[0], s[1]) for (w, _), s in zip(self.members, states)),
-            Fraction(0),
+        """The state holding the weighted sum of the members' states, in lowest terms."""
+        dens = [w.denominator * s[1] for (w, _), s in zip(self.members, states)]
+        den = lcm(*dens)
+        num = sum(
+            w.numerator * s[0] * (den // d)
+            for (w, _), s, d in zip(self.members, states, dens)
         )
-        return total.numerator, total.denominator, states
+        g = gcd(num, den)
+        return num // g, den // g, states
 
     def _step(self, sigma: str, state: State) -> tuple[State, State]:
         zero, one = zip(*(m._step(sigma, s) for (_, m), s in zip(self.members, state[2])))
@@ -209,6 +212,32 @@ def _bank(saved: int, active: int, den: int) -> tuple[int, int]:
     return saved + moved, active - moved * den
 
 
+def savings_start(base_start: State) -> State:
+    """The savings state over a base whose initial capital is at most 1."""
+    num, den = base_start[:2]
+    if num > den:
+        raise ValueError("rescale the input so that its initial capital is <= 1")
+    # (capital numerator, denominator, banked units, base state)
+    return num, den, 0, base_start
+
+
+def savings_step(state: State, children: tuple[State, State]) -> tuple[State, State]:
+    """The savings states over the base's child states ``children`` of ``state``."""
+    num, den, saved, parent = state
+    active = num - saved * den
+    out = []
+    for child in children:
+        # the working part grows as the base does, by x/w; where the base
+        # parent is 0 it is identically 0 below, so nothing is at stake
+        x, w = (child[0] * parent[1], parent[0] * child[1]) if parent[0] else (1, 1)
+        grown = active * x
+        scale = abs(w) // gcd(grown, w)
+        c_den = den * scale
+        c_saved, c_active = _bank(saved, grown * scale // w, c_den)
+        out.append((c_saved * c_den + c_active, c_den, c_saved, child))
+    return out[0], out[1]
+
+
 class SavingsMartingale(Martingale):
     """Savings transform of a martingale.
 
@@ -218,28 +247,12 @@ class SavingsMartingale(Martingale):
     """
 
     def __init__(self, base: Martingale):
-        num, den = base.start[:2]
-        if num > den:
-            raise ValueError("rescale the input so that its initial capital is <= 1")
+        self.start = savings_start(base.start)
         self.base = base
         self.depth = base.depth
-        # (capital numerator, denominator, banked units, base state)
-        self.start = (num, den, 0, base.start)
 
     def _step(self, sigma: str, state: State) -> tuple[State, State]:
-        num, den, saved, parent = state
-        active = num - saved * den
-        children = []
-        for child in self.base._step(sigma, parent):
-            # the working part grows as the base does, by x/w; where the base
-            # parent is 0 it is identically 0 below, so nothing is at stake
-            x, w = (child[0] * parent[1], parent[0] * child[1]) if parent[0] else (1, 1)
-            grown = active * x
-            scale = abs(w) // gcd(grown, w)
-            c_den = den * scale
-            c_saved, c_active = _bank(saved, grown * scale // w, c_den)
-            children.append((c_saved * c_den + c_active, c_den, c_saved, child))
-        return children[0], children[1]
+        return savings_step(state, self.base._step(sigma, state[3]))
 
     def saved_active(self, sigma: str) -> tuple[int, Fraction]:
         """Banked units and working part at ``sigma``."""

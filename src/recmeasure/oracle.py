@@ -1,108 +1,99 @@
 """Oracle-indexed martingale families, their exact average, and exceed sets.
 
-A truth-table functional assigns to every oracle word a martingale whose
-values depend only on a use-bounded prefix of the oracle.  Averaging over
-all oracle words of the use length yields a plain martingale; the words on
-which the family ever exceeds a capital threshold form a clopen set whose
-measure is computed exactly.
-"""
+A truth-table functional is a martingale step that also reads the oracle bits
+tau[use(|sigma|):use(|sigma|+1)].  Averaging, exceed sets and validation step
+each state reached at sigma once, however many oracle prefixes reach it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import lcm
-from typing import Callable
+from typing import Callable, Iterator, Optional
 
-from .codec import str_of
-from .martingale import (
-    Level,
-    Martingale,
-    StrategyMartingale,
-    TableMartingale,
-    all_strings,
-    savings_transform,
-    validate,
-)
+from .codec import check_bits
+from .martingale import Martingale, State, TableMartingale, all_strings
+from .martingale import savings_start, savings_step
 from .nulltests import ClopenSet, normalize
-from .strategies import coincidence_martingale
+from .strategies import coincidence_step
 
 DEFAULT_GUARD = 20
 
 
 class GuardExceeded(ValueError):
-    """Raised when an oracle enumeration would be too large to run exactly."""
+    """Raised when an oracle use length is too large to run exactly."""
+
+
+class UseNotMonotone(ValueError):
+    """Raised when use_bound(n+1) < use_bound(n), so no bits are fresh at n."""
+
+
+class OracleMartingale(Martingale):
+    """M^tau: the functional's step fed with the fresh bits of the oracle word tau."""
+
+    def __init__(self, f: TTFunctional, tau: str, depth: int):
+        self.f, self.tau, self.depth, self.start = f, tau, depth, f.start
+
+    def _step(self, sigma: str, state: State) -> tuple[State, State]:
+        use, n = self.f.use_bound, len(sigma)
+        return self.f.step(sigma, state, self.tau[use(n) : use(n + 1)])
 
 
 @dataclass(frozen=True)
 class TTFunctional:
-    """Oracle word -> martingale, reading at most use_bound(|sigma|) bits.
-
-    ``factory(tau, depth)`` must return a martingale of the given depth
-    whose value at each sigma depends only on tau[:use_bound(len(sigma))].
-    """
+    """Oracle word -> martingale: ``step(sigma, state, fresh)`` gives the hashable
+    states at sigma+"0" and sigma+"1" from the one at sigma, reading the oracle
+    bits fresh = tau[use(n):use(n+1)], n = |sigma|; ``factory(tau, depth)`` is M^tau."""
 
     name: str
     use_bound: Callable[[int], int]
-    factory: Callable[[str, int], Martingale]
+    start: State
+    step: Callable[[str, State, str], tuple[State, State]]
+    factory: Optional[Callable[[str, int], Martingale]] = None
 
-    def oracle_length(self, depth: int, guard: int = DEFAULT_GUARD) -> int:
+    def __post_init__(self) -> None:
+        if self.factory is None:
+            object.__setattr__(self, "factory", lambda tau, d: OracleMartingale(self, tau, d))
+
+    def uses(self, depth: int, guard: int = DEFAULT_GUARD) -> list[int]:
+        """use_bound(0..depth), checked monotone and, at depth, within the guard."""
         if depth < 0:
             raise ValueError("depth must be a natural number")
-        u = self.use_bound(depth)
-        if u > guard:
+        uses = [self.use_bound(n) for n in range(depth + 1)]
+        if uses[-1] > guard:
             raise GuardExceeded(
-                f"use bound {u} at depth {depth} exceeds the enumeration guard {guard}"
+                f"use bound {uses[-1]} at depth {depth} exceeds the enumeration guard {guard}"
             )
-        return u
+        for n, (a, b) in enumerate(zip(uses, uses[1:])):
+            if b < a:
+                raise UseNotMonotone(f"use bound not monotone: use({n})={a} > use({n+1})={b}")
+        return uses
 
 
 def constant_functional() -> TTFunctional:
     """M^tau identically 1, independent of the oracle."""
-
-    def factory(tau: str, depth: int) -> Martingale:
-        return StrategyMartingale(depth, Fraction(1), lambda sigma: (Fraction(0), 0))
-
-    return TTFunctional("constant", lambda n: 0, factory)
+    return TTFunctional("constant", lambda n: 0, (1, 1), coincidence_step)
 
 
 def oracle_coincidence_functional() -> TTFunctional:
     """M^tau bets half the capital on each bit matching the oracle."""
-
-    def factory(tau: str, depth: int) -> Martingale:
-        return coincidence_martingale(tau[:depth])
-
-    return TTFunctional("coincidence", lambda n: n, factory)
+    return TTFunctional("coincidence", lambda n: n, (1, 1), coincidence_step)
 
 
 def prefix_coincidence_functional(prefix_length: int) -> TTFunctional:
     """Coincidence betting on the first ``prefix_length`` oracle bits only."""
     if prefix_length < 0:
         raise ValueError("prefix length must be a natural number")
-
-    def factory(tau: str, depth: int) -> Martingale:
-        def rule(sigma: str) -> tuple[Fraction, int]:
-            if len(sigma) < prefix_length:
-                return Fraction(1, 2), int(tau[len(sigma)])
-            return Fraction(0), 0
-
-        return StrategyMartingale(depth, Fraction(1), rule)
-
-    return TTFunctional(
-        f"prefix-coincidence({prefix_length})",
-        lambda n: min(n, prefix_length),
-        factory,
-    )
+    name, use = f"prefix-coincidence({prefix_length})", lambda n: min(n, prefix_length)
+    return TTFunctional(name, use, (1, 1), coincidence_step)
 
 
 def savings_functional(base: TTFunctional) -> TTFunctional:
     """Savings transform applied to every oracle's martingale."""
-
-    def factory(tau: str, depth: int) -> Martingale:
-        return savings_transform(base.factory(tau, depth))
-
-    return TTFunctional(f"savings({base.name})", base.use_bound, factory)
+    return TTFunctional(
+        f"savings({base.name})", base.use_bound, savings_start(base.start),
+        lambda sigma, state, fresh: savings_step(state, base.step(sigma, state[3], fresh)),
+    )
 
 
 BUILTIN_KERNELS = {
@@ -113,32 +104,40 @@ BUILTIN_KERNELS = {
 }
 
 
-def _add_levels(a: list[Level], b: list[Level]) -> list[Level]:
-    """Exact level-by-level sum of two trees, each level over the lcm of both denominators."""
-    out = []
-    for (xs, x_den), (ys, y_den) in zip(a, b):
-        den = lcm(x_den, y_den)
-        kx, ky = den // x_den, den // y_den
-        out.append(([x * kx + y * ky for x, y in zip(xs, ys)], den))
-    return out
+def _tree(f: TTFunctional, uses: list[int], root, node) -> Iterator[tuple[str, dict]]:
+    """Each sigma, depth first, with its groups state -> value of the oracle prefixes
+    reaching it; ``node(sigma, groups, freshes)`` gives the children's groups."""
+    freshes = [list(all_strings(b - a)) for a, b in zip(uses, uses[1:])]
+    stack = [("", {f.start: root})]
+    while stack:
+        sigma, groups = stack.pop()
+        yield sigma, groups
+        if len(sigma) < len(freshes):
+            zero, one = node(sigma, groups, freshes[len(sigma)])
+            stack += (sigma + "1", one), (sigma + "0", zero)
 
 
 def averaged_martingale(
     f: TTFunctional, depth: int, guard: int = DEFAULT_GUARD
 ) -> TableMartingale:
-    """Exact uniform average of M^tau over all oracle words of the use length.
+    """Exact average of M^tau(sigma) over the oracle prefixes of length
+    use(|sigma|), which M^tau reads; each group counts its prefixes."""
+    uses, step = f.uses(depth, guard), f.step
 
-    Because each M^tau reads only a prefix of tau, averaging at the maximal
-    use length agrees with averaging at use_bound(|sigma|) for every sigma.
-    """
-    u = f.oracle_length(depth, guard)
-    total = reduce(
-        _add_levels, (f.factory(tau, depth).levels(depth) for tau in all_strings(u))
-    )
+    def node(sigma, groups, freshes):
+        zero, one = {}, {}
+        for state, count in groups.items():
+            for fresh in freshes:
+                s0, s1 = step(sigma, state, fresh)
+                zero[s0] = zero.get(s0, 0) + count
+                one[s1] = one.get(s1, 0) + count
+        return zero, one
+
     table = {}
-    for length, (nums, den) in enumerate(total):
-        for sigma, num in zip(all_strings(length), nums):
-            table[sigma] = Fraction(num, den << u)
+    for sigma, groups in _tree(f, uses, 1, node):
+        den = lcm(*(s[1] for s in groups))
+        num = sum(count * s[0] * (den // s[1]) for s, count in groups.items())
+        table[sigma] = Fraction(num, den << uses[len(sigma)])
     return TableMartingale(depth, table)
 
 
@@ -151,59 +150,59 @@ class ExceedSet:
     measure: Fraction
 
 
-def exceed_set(
-    f: TTFunctional, path: str, n: int, guard: int = DEFAULT_GUARD
-) -> ExceedSet:
+def exceed_set(f: TTFunctional, path: str, n: int, guard: int = DEFAULT_GUARD) -> ExceedSet:
     """Clopen set of oracle words tau with max_{beta <= path} M^tau(beta) > 2^n + 1.
 
-    Meaningful bounds require the functional's martingales to be savings
-    martingales with unit initial capital; see :func:`savings_functional`.
-    """
+    A group of oracle prefixes tau[:use(i)] leaves at its first exceedance as
+    their extensions to use(|path|); bounds need :func:`savings_functional`."""
     if n < 0:
         raise ValueError(f"exceed level must be a natural number, got {n}")
-    u = f.oracle_length(len(path), guard)
-    threshold = 2**n + 1
-    hits = [
-        tau
-        for tau in all_strings(u)
-        if any(v > threshold * den for v, den in f.factory(tau, len(path)).walk(path))
-    ]
+    uses = f.uses(len(check_bits(path)), guard)
+    threshold, groups, hits = 2**n + 1, {f.start: [""]}, []
+    for i in range(len(path) + 1):
+        for state in [s for s in groups if s[0] > threshold * s[1]]:
+            hits += (t + r for t in groups.pop(state) for r in all_strings(uses[-1] - uses[i]))
+        if i < len(path):
+            grown: dict[State, list[str]] = {}
+            for state, taus in groups.items():
+                for fresh in all_strings(uses[i + 1] - uses[i]):
+                    child = f.step(path[:i], state, fresh)[path[i] == "1"]
+                    grown.setdefault(child, []).extend(tau + fresh for tau in taus)
+            groups = grown
     members = normalize(hits)
     return ExceedSet(n, members, members.measure())
 
 
-def functional_validate(
-    f: TTFunctional, depth: int, guard: int = DEFAULT_GUARD
-) -> list[str]:
-    """Per-oracle fairness, nonnegativity, and use-respecting checks.
+def functional_validate(f: TTFunctional, depth: int, guard: int = DEFAULT_GUARD) -> list[str]:
+    """Nonnegativity and fairness once per (sigma, state, fresh), naming one
+    oracle prefix that reaches the state.  A step sees only its fresh bits, so
+    the use bound holds by construction; a non-monotone one is reported."""
+    try:
+        uses = f.uses(depth, guard)
+    except UseNotMonotone as exc:
+        return [str(exc)]
+    violations: list[str] = []
 
-    Use-respecting is checked by comparing each oracle word against its
-    all-zero and all-one extensions beyond the use bound.
-    """
-    violations = []
-    u = f.oracle_length(depth, guard)
-    for tau in all_strings(u):
-        m = f.factory(tau, depth)
-        for v in validate(m, depth):
-            violations.append(f"oracle {tau or '-'}: {v}")
-    for ell in range(depth + 1):
-        need = f.use_bound(ell)
-        if need > u:
-            violations.append(
-                f"use bound not monotone: use({ell})={need} > use({depth})={u}"
-            )
-            continue
-        if need == u:
-            continue
-        for stem in all_strings(need):
-            nums0, den0 = f.factory(stem + "0" * (u - need), depth).levels(ell)[ell]
-            nums1, den1 = f.factory(stem + "1" * (u - need), depth).levels(ell)[ell]
-            for i, (v0, v1) in enumerate(zip(nums0, nums1)):
-                if v0 * den1 != v1 * den0:
-                    sigma = str_of((1 << ell) - 1 + i)
+    def node(sigma, groups, freshes):
+        zero, one = {}, {}
+        for state, tau in groups.items():
+            (num, den), at = state[:2], sigma or "λ"
+            for fresh in freshes:
+                s0, s1 = f.step(sigma, state, fresh)
+                (n0, d0), (n1, d1) = s0[:2], s1[:2]
+                if 2 * num * d0 * d1 != (n0 * d1 + n1 * d0) * den:
                     violations.append(
-                        f"value at {sigma or '-'!r} depends on oracle bits "
-                        f"beyond use({ell})={need} (stem {stem or '-'})"
+                        f"oracle {tau + fresh or '-'}: averaging violated at {at!r}: "
+                        f"2*{Fraction(num, den)} != {Fraction(n0, d0)} + {Fraction(n1, d1)}"
                     )
-                    break
+                zero.setdefault(s0, tau + fresh)
+                one.setdefault(s1, tau + fresh)
+        return zero, one
+
+    for sigma, groups in _tree(f, uses, "", node):
+        violations += [
+            f"oracle {tau or '-'}: negative value {Fraction(*state[:2])} at {sigma or 'λ'!r}"
+            for state, tau in groups.items()
+            if state[0] < 0
+        ]
     return violations

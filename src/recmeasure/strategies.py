@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .codec import BudgetSequence, budget_sequence, check_bits
-from .martingale import Martingale, StrategyMartingale
+from .martingale import Martingale, State, StrategyMartingale
 
 
 def coincidence_martingale(ref: str) -> StrategyMartingale:
@@ -26,6 +26,20 @@ def coincidence_martingale(ref: str) -> StrategyMartingale:
         return Fraction(1, 2), int(ref[len(sigma)])
 
     return StrategyMartingale(len(ref), Fraction(1), rule)
+
+
+def coincidence_step(sigma: str, state: State, fresh: str) -> tuple[State, State]:
+    """Coincidence betting on integers against the reference bit ``fresh``.
+
+    The step of :func:`coincidence_martingale` with ``fresh`` = ref[|sigma|]:
+    capital (num, den) goes to (3*num, 2*den) on agreement and to
+    (num, 2*den) otherwise.  An empty ``fresh`` bets nothing.
+    """
+    if not fresh:
+        return state, state
+    num, den = state
+    win, lose = (3 * num, 2 * den), (num, 2 * den)
+    return (lose, win) if fresh == "1" else (win, lose)
 
 
 def capital_lower_bound(correct: int, total: int) -> Fraction:

@@ -133,39 +133,46 @@ class TestBadInputLines:
         assert f"error: {path}:{lineno}: {message}" in capsys.readouterr().err
 
 
+NATURAL = "must be a natural number"
+
+
 class TestNegativeOptions:
-    """Negative counts are rejected at the option, before any work."""
+    """Negative counts and unknown interval families are rejected at the option."""
 
     @pytest.mark.parametrize(
-        "option, argv",
+        "option, argv, message",
         [
             ("--n", ["exceed", "--kernel", "savings-coincidence", "--depth", "4",
-                     "--n", "-1"]),
-            ("--depth", ["average", "--kernel", "coincidence", "--depth", "-1"]),
+                     "--n", "-1"], NATURAL),
+            ("--depth", ["average", "--kernel", "coincidence", "--depth", "-1"], NATURAL),
             ("--prefix-length", ["average", "--kernel", "prefix-coincidence",
-                                 "--prefix-length", "-2", "--depth", "3"]),
+                                 "--prefix-length", "-2", "--depth", "3"], NATURAL),
             ("--guard", ["exceed", "--kernel", "coincidence", "--depth", "3",
-                         "--n", "1", "--guard", "-1"]),
-            ("--k", ["budget", "--k", "-1"]),
-            ("--e", ["dnr-cover", "--e", "-1", "--n", "3"]),
-            ("--n", ["dnr-cover", "--e", "0", "--n", "-3"]),
-            ("--j", ["engulf", "row.txt", "--j", "-1"]),
-            ("--i-max", ["engulf", "row.txt", "--j", "0", "--i-max", "-1"]),
-            ("--str", ["codec", "--str", "-5"]),
-            ("--pair", ["codec", "--pair", "3", "-1"]),
-            ("--s", ["codec", "--s", "-2", "4"]),
+                         "--n", "1", "--guard", "-1"], NATURAL),
+            ("--k", ["budget", "--k", "-1"], NATURAL),
+            ("--e", ["dnr-cover", "--e", "-1", "--n", "3"], NATURAL),
+            ("--n", ["dnr-cover", "--e", "0", "--n", "-3"], NATURAL),
+            ("--j", ["engulf", "row.txt", "--j", "-1"], NATURAL),
+            ("--i-max", ["engulf", "row.txt", "--j", "0", "--i-max", "-1"], NATURAL),
+            ("--str", ["codec", "--str", "-5"], NATURAL),
+            ("--pair", ["codec", "--pair", "3", "-1"], NATURAL),
+            ("--s", ["codec", "--s", "-2", "4"], NATURAL),
+            ("--interval", ["codec", "--interval", "pow2", "-1"], NATURAL),
+            ("--interval", ["codec", "--interval", "pow2", "x"], NATURAL),
+            ("--interval", ["codec", "--interval", "bogus", "3"], "invalid family 'bogus'"),
         ],
         ids=["n", "depth", "prefix-length", "guard", "budget-k", "dnr-cover-e",
              "dnr-cover-n", "engulf-j", "engulf-i-max", "codec-str", "codec-pair",
-             "codec-s"],
+             "codec-s", "codec-interval-m", "codec-interval-m-text",
+             "codec-interval-family"],
     )
-    def test_rejected_with_exit_2(self, capsys, option, argv):
+    def test_rejected_with_exit_2(self, capsys, option, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument {option}: must be a natural number" in captured.err
+        assert f"argument {option}: {message}" in captured.err
 
 
 class TestCodecCommand:

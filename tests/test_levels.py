@@ -1,10 +1,15 @@
 """Every evaluation derived from a martingale's step agrees exactly with a
 Fraction reference computed here, node by node."""
 
+import functools
+import random
+import re
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recmeasure.martingale import (
     SAVINGS_DROP_BOUND,
@@ -26,10 +31,11 @@ from recmeasure.oracle import (
     TTFunctional,
     averaged_martingale,
     exceed_set,
+    functional_validate,
     oracle_coincidence_functional,
     savings_functional,
 )
-from recmeasure.strategies import adversary_sequence, coincidence_martingale
+from recmeasure.strategies import adversary_sequence, coincidence_martingale, coincidence_step
 
 from conftest import random_strategy_martingale
 from test_oracle import brute_force_average
@@ -84,12 +90,35 @@ def thirds_table(rng, depth: int) -> TableMartingale:
     return TableMartingale(depth, table)
 
 
+def thirds_stake(sigma: str) -> Fraction:
+    return Fraction(1, 3) if sigma.count("1") % 2 else Fraction(2, 5)
+
+
 def thirds_strategy(depth: int, ref: str) -> StrategyMartingale:
     """Stakes of 1/3 and 2/5 side by side in a level, so its scale is an lcm."""
 
     def rule(sigma: str):
-        stake = Fraction(1, 3) if sigma.count("1") % 2 else Fraction(2, 5)
-        return stake, int(ref[len(sigma)])
+        return thirds_stake(sigma), int(ref[len(sigma)])
+
+    return StrategyMartingale(depth, Fraction(1), rule)
+
+
+def thirds_step(sigma: str, state, fresh: str):
+    """The step of thirds_strategy(depth, tau) on integers, with fresh = tau[|sigma|]."""
+    num, den = state
+    stake = thirds_stake(sigma)
+    p, q = stake.numerator, stake.denominator
+    win, lose = (num * (q + p), den * q), (num * (q - p), den * q)
+    return (lose, win) if fresh == "1" else (win, lose)
+
+
+def prefix_strategy(depth: int, tau: str, k: int) -> StrategyMartingale:
+    """Half-stake coincidence on the first k bits of tau, then no bet."""
+
+    def rule(sigma: str):
+        if len(sigma) < k:
+            return Fraction(1, 2), int(tau[len(sigma)])
+        return Fraction(0), 0
 
     return StrategyMartingale(depth, Fraction(1), rule)
 
@@ -204,38 +233,53 @@ class TestOracleEngine:
                 assert n.value(sigma) == brute_force_average(f, sigma, DEPTH), name
 
     def test_average_with_mixed_denominators(self):
-        # oracles whose level denominators differ, summed over their lcm
-        def factory(tau: str, depth: int) -> Martingale:
-            if tau == "1":
-                return thirds_strategy(depth, "0" * depth)
-            return coincidence_martingale("1" * depth)
+        # oracles whose level denominators differ, summed over their lcm: the
+        # first oracle bit tags the state as thirds (1) or coincidence (0)
+        def step(sigma: str, state, fresh: str):
+            tag = state[2] or fresh
+            if tag == "1":
+                zero, one = thirds_step(sigma, state[:2], "0")
+            else:
+                zero, one = coincidence_step(sigma, state[:2], "1")
+            return zero + (tag,), one + (tag,)
 
-        f = TTFunctional("mixed", lambda n: min(n, 1), factory)
+        f = TTFunctional("mixed", lambda n: min(n, 1), (1, 1, ""), step)
         n = averaged_martingale(f, 4)
+        thirds, coincidence = thirds_strategy(4, "0000"), coincidence_martingale("1111")
         for sigma in strings_up_to(4):
             assert n.value(sigma) == brute_force_average(f, sigma, 4)
+            if sigma:
+                assert n.value(sigma) == (thirds.value(sigma) + coincidence.value(sigma)) / 2
 
     def test_exceed_members_match_value_recount(self):
+        # each kernel with its M^tau built from the martingale classes, not
+        # from the kernel's step
         kernels = [
-            savings_functional(oracle_coincidence_functional()),
-            oracle_coincidence_functional(),
-            BUILTIN_KERNELS["prefix-coincidence"](3),
-            TTFunctional(
-                "savings-thirds",
-                lambda n: n,
+            (
+                savings_functional(oracle_coincidence_functional()),
+                lambda tau, depth: savings_transform(coincidence_martingale(tau)),
+            ),
+            (oracle_coincidence_functional(), lambda tau, depth: coincidence_martingale(tau)),
+            (
+                BUILTIN_KERNELS["prefix-coincidence"](3),
+                lambda tau, depth: prefix_strategy(depth, tau, 3),
+            ),
+            (
+                savings_functional(TTFunctional("thirds", lambda n: n, (1, 1), thirds_step)),
                 lambda tau, depth: savings_transform(thirds_strategy(depth, tau)),
             ),
         ]
-        for f in kernels:
+        for f, per_oracle in kernels:
             n_avg = averaged_martingale(f, 7)
             for path in ("0110100", "1111111", adversary_sequence(n_avg, 7)):
                 for level in range(4):
                     threshold = 2**level + 1
+                    u = f.use_bound(len(path))
                     recount = [
                         tau
-                        for tau in all_strings(f.use_bound(len(path)))
+                        for tau in all_strings(u)
                         if any(
-                            reference_value(f.factory(tau, len(path)), path[:i])
+                            reference_value(per_oracle(tau, len(path)), path[:i])
                             > threshold
                             for i in range(len(path) + 1)
                         )
@@ -246,9 +290,137 @@ class TestOracleEngine:
                         == normalize(recount).sorted_generators()
                     ), (f.name, path, level)
 
+    def test_builtin_kernels_match_per_oracle_martingales_at_depth_9(self):
+        depth = 9
+        per_oracle = {
+            "coincidence": coincidence_martingale,
+            "savings-coincidence": lambda tau: savings_transform(coincidence_martingale(tau)),
+        }
+        for name, make in per_oracle.items():
+            # per level, the sum over all oracles as integers over one denominator
+            totals = [([0] * (1 << n), 1) for n in range(depth + 1)]
+            for tau in all_strings(depth):
+                for n, (nums, den) in enumerate(make(tau).levels(depth)):
+                    sums, common = totals[n]
+                    scale = lcm(common, den)
+                    totals[n] = (
+                        [x * (scale // common) + y * (scale // den) for x, y in zip(sums, nums)],
+                        scale,
+                    )
+            expected = [[Fraction(x, den << depth) for x in sums] for sums, den in totals]
+            n = averaged_martingale(BUILTIN_KERNELS[name](), depth)
+            assert as_fractions(n.levels(depth)) == expected, name
+
     def test_exceed_rejects_negative_level(self):
         with pytest.raises(ValueError):
             exceed_set(oracle_coincidence_functional(), "01", -1)
+
+
+def random_functional(seed: int, widths: list[int], mode: str, initial: int):
+    """A step-form functional over len(widths) levels, reading widths[n] fresh
+    oracle bits at level n, with capital ``initial`` at the root and stakes
+    k/q keyed on (sigma, fresh).
+
+    ``mode`` picks what the state holds besides the capital: nothing
+    ("value"; equal capitals merge), the parity of the oracle bits read
+    ("parity"), or the oracle prefix itself ("prefix"; nothing merges).  At
+    some steps the stake exceeds 1, so a child goes negative, or the winning
+    child gets 1/q too much, so the step is unfair.  Returns the functional
+    and M^tau along a path, computed on Fractions from the bets alone.
+    """
+    uses = [sum(widths[:n]) for n in range(len(widths) + 1)]
+
+    @functools.lru_cache(maxsize=None)
+    def bet(sigma: str, fresh: str) -> tuple[int, int, int, int]:
+        rng = random.Random(f"{seed}:{sigma}:{fresh}")
+        q = rng.randint(1, 4)
+        k, extra, fault = rng.randint(0, q), 0, rng.randrange(12)
+        if fault == 0:
+            k = q + rng.randint(1, q)
+        elif fault == 1:
+            extra = 1
+        return k, q, rng.randint(0, 1), extra
+
+    def step(sigma: str, state, fresh: str):
+        num, den = state[:2]
+        k, q, bit, extra = bet(sigma, fresh)
+        win, lose = (num * (q + k + extra), den * q), (num * (q - k), den * q)
+        tag = state[2:]
+        if mode == "parity":
+            tag = ((tag[0] + fresh.count("1")) % 2,)
+        elif mode == "prefix":
+            tag = (tag[0] + fresh,)
+        return (win + tag, lose + tag) if bit == 0 else (lose + tag, win + tag)
+
+    def capitals(tau: str, path: str) -> list[Fraction]:
+        v = Fraction(initial)
+        out = [v]
+        for n, b in enumerate(path):
+            k, q, bit, extra = bet(path[:n], tau[uses[n] : uses[n + 1]])
+            v = v * Fraction(q + k + extra, q) if int(b) == bit else v * Fraction(q - k, q)
+            out.append(v)
+        return out
+
+    start = (initial, 1) + {"value": (), "parity": (0,), "prefix": ("",)}[mode]
+    return TTFunctional("random", lambda n: uses[n], start, step), capitals
+
+
+MESSAGE = re.compile(r"^oracle ([01]*|-): (negative value|averaging violated)\b.*? at '([01]*|λ)'")
+
+
+class TestMergedEngineMatchesEnumeration:
+    """Average, exceed set and validation of random step-form functionals
+    agree with the same computed oracle by oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        widths=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+        mode=st.sampled_from(["value", "parity", "prefix"]),
+        initial=st.sampled_from([1, 2, -1]),
+        data=st.data(),
+    )
+    def test_random_functionals(self, seed, widths, mode, initial, data):
+        depth = len(widths)
+        f, capitals = random_functional(seed, widths, mode, initial)
+        u = sum(widths)
+        oracles = list(all_strings(u))
+
+        n = averaged_martingale(f, depth)
+        for sigma in strings_up_to(depth):
+            mean = sum(capitals(tau, sigma)[-1] for tau in oracles) / len(oracles)
+            assert n.value(sigma) == mean, sigma
+
+        path = data.draw(st.text("01", min_size=depth, max_size=depth))
+        level = data.draw(st.integers(0, 2))
+        hits = [tau for tau in oracles if max(capitals(tau, path)) > 2**level + 1]
+        ex = exceed_set(f, path, level)
+        assert ex.members.sorted_generators() == normalize(hits).sorted_generators()
+        assert ex.measure == Fraction(len(hits), 2**u)
+
+        expected = set()
+        for tau in oracles:
+            for sigma in strings_up_to(depth):
+                v = capitals(tau, sigma)[-1]
+                if v < 0:
+                    expected.add(("negative value", sigma or "λ"))
+                if len(sigma) < depth:
+                    children = capitals(tau, sigma + "0")[-1] + capitals(tau, sigma + "1")[-1]
+                    if 2 * v != children:
+                        expected.add(("averaging violated", sigma or "λ"))
+        got = set()
+        for message in functional_validate(f, depth):
+            witness, kind, at = MESSAGE.match(message).groups()
+            got.add((kind, at))
+            # the named oracle prefix does reach the fault
+            sigma = "" if at == "λ" else at
+            tau = witness.strip("-").ljust(u, "0")
+            if kind == "negative value":
+                assert capitals(tau, sigma)[-1] < 0
+            else:
+                v = capitals(tau, sigma)[-1]
+                assert 2 * v != capitals(tau, sigma + "0")[-1] + capitals(tau, sigma + "1")[-1]
+        assert got == expected
 
 
 class TestDeepQueries:

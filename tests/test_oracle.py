@@ -1,19 +1,15 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
-from recmeasure.martingale import (
-    Martingale,
-    StrategyMartingale,
-    all_strings,
-    strings_up_to,
-    validate,
-)
+from recmeasure.martingale import all_strings, strings_up_to, validate
 from recmeasure.oracle import (
     BUILTIN_KERNELS,
     GuardExceeded,
     TTFunctional,
+    UseNotMonotone,
     averaged_martingale,
     constant_functional,
     exceed_set,
@@ -22,7 +18,7 @@ from recmeasure.oracle import (
     prefix_coincidence_functional,
     savings_functional,
 )
-from recmeasure.strategies import adversary_sequence
+from recmeasure.strategies import adversary_sequence, coincidence_step
 
 
 def brute_force_average(f: TTFunctional, sigma: str, depth: int) -> Fraction:
@@ -79,20 +75,67 @@ class TestFunctionalValidate:
         f = savings_functional(oracle_coincidence_functional())
         assert functional_validate(f, 5) == []
 
-    def test_use_violation_detected(self):
-        def factory(tau: str, depth: int) -> Martingale:
-            # reads one oracle bit beyond the declared use bound
-            def rule(sigma):
-                idx = len(sigma) + 1
-                bit = int(tau[idx]) if idx < len(tau) else 0
-                return Fraction(1, 2), bit
+    def test_step_reads_exactly_the_fresh_bits(self):
+        # a step is handed tau[use(n):use(n+1)] and nothing else, so no
+        # martingale of the family can read past its use bound
+        uses = [0, 2, 2, 3, 5]
+        seen = []
 
-            return StrategyMartingale(depth, Fraction(1), rule)
+        def step(sigma, state, fresh):
+            seen.append((len(sigma), fresh))
+            return coincidence_step(sigma, state, fresh[:1])
 
-        cheat = TTFunctional("cheat", lambda n: n, factory)
-        assert any(
-            "depends on oracle bits" in v for v in functional_validate(cheat, 3)
-        )
+        f = TTFunctional("widths", lambda n: uses[n], (1, 1), step)
+        widths = {n: uses[n + 1] - uses[n] for n in range(4)}
+        for run in (
+            lambda: averaged_martingale(f, 4),
+            lambda: exceed_set(f, "0110", 1),
+            lambda: functional_validate(f, 4),
+        ):
+            seen.clear()
+            run()
+            assert seen and all(len(fresh) == widths[n] for n, fresh in seen)
+        # the averaging pass hands every fresh word to each level
+        seen.clear()
+        averaged_martingale(f, 4)
+        for n, width in widths.items():
+            assert {fresh for k, fresh in seen if k == n} == set(all_strings(width))
+        # M^tau is fed the slices of its own oracle word
+        seen.clear()
+        f.factory("10110", 4).walk("0101")
+        assert seen == [(0, "10"), (1, ""), (2, "1"), (3, "10")]
+
+    def test_unfair_and_negative_steps_reported_with_sigma(self):
+        def step(sigma, state, fresh):
+            zero, one = coincidence_step(sigma, state, fresh)
+            if sigma == "01" and fresh == "1":
+                one = (one[0] + 1, one[1])  # breaks 2*M(01) = M(010) + M(011)
+            if sigma == "1":
+                num, den = state
+                zero, one = (3 * num, den), (-num, den)  # fair, but negative below "1"
+            return zero, one
+
+        f = TTFunctional("faulty", lambda n: n, (1, 1), step)
+        violations = functional_validate(f, 3)
+        unfair = [v for v in violations if "averaging violated" in v]
+        negative = [v for v in violations if "negative value" in v]
+        # one message per merged state at "01" (capital 9/4, 3/4, 1/4), each
+        # naming an oracle prefix whose fresh bit at "01" is 1
+        assert len(unfair) == 3
+        assert all(re.match(r"oracle [01]{2}1: averaging violated at '01'", v) for v in unfair)
+        assert negative and {v.split(" at ")[1] for v in negative} == {
+            "'11'", "'110'", "'111'"
+        }
+
+    def test_non_monotone_use_bound(self):
+        f = TTFunctional("shrinks", lambda n: [0, 2, 1][n], (1, 1), coincidence_step)
+        assert functional_validate(f, 2) == [
+            "use bound not monotone: use(1)=2 > use(2)=1"
+        ]
+        with pytest.raises(UseNotMonotone):
+            averaged_martingale(f, 2)
+        with pytest.raises(UseNotMonotone):
+            exceed_set(f, "01", 1)
 
 
 class TestExceedSet:
