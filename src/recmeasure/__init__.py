@@ -16,11 +16,11 @@ from .martingale import (
     SAVINGS_DROP_BOUND,
     BoundFunction,
     Martingale,
+    SavingsMartingale,
     StrategyMartingale,
+    SumMartingale,
     TableMartingale,
     capital_trace,
-    combine_sum,
-    savings_transform,
     schnorr_hits,
     success_at,
     validate,

@@ -46,6 +46,25 @@ def read_bits(token: str, where: str) -> str:
         raise ValueError(f"{where}: {exc}") from None
 
 
+def read_rational(token: str, where: str) -> tuple[int, int]:
+    """``[+-]digits`` or ``[+-]digits/digits`` read from a file, as (numerator,
+    denominator); the denominator must be nonzero.
+
+    Only this grammar is read: an exponent such as ``1e400000000`` would ask
+    for a number of that many digits.
+    """
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if token.isascii() and digits.isdecimal() and (den.isdecimal() or not slash):
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # past the interpreter's int-from-str digit limit
+            den = 0
+        if den:
+            return num, den
+    raise ValueError(f"{where}: bad rational {token!r}")
+
+
 def num_of(sigma: str) -> int:
     """Rank of ``sigma`` in length-lexicographic order (shorter first).
 

@@ -7,13 +7,14 @@ to a finite depth, subject to the fairness equation
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .codec import check_bits, read_bits, read_lines, str_of
+from .codec import check_bits, num_of, read_bits, read_lines, read_rational, str_of
 
 # Capital banked by the savings transform in units of 1; the working part is
 # kept strictly below this cap, so capital along a path never drops by more
@@ -32,11 +33,6 @@ State = tuple
 def all_strings(length: int) -> Iterable[str]:
     """All binary strings of exactly the given length, lexicographically."""
     return (format(i, "b").zfill(length) if length else "" for i in range(1 << length))
-
-
-def strings_up_to(depth: int) -> Iterable[str]:
-    for length in range(depth + 1):
-        yield from all_strings(length)
 
 
 class Martingale:
@@ -108,10 +104,6 @@ class Martingale:
             )
 
 
-def _num_den(v: Fraction) -> tuple[int, int]:
-    return v.numerator, v.denominator
-
-
 def _rational(what: str, x) -> Rational:
     """``x`` itself if it is an exact rational (int or Fraction, not float)."""
     if not isinstance(x, Rational):
@@ -120,20 +112,42 @@ def _rational(what: str, x) -> Rational:
 
 
 class TableMartingale(Martingale):
-    """Martingale given by an explicit table on all strings up to depth."""
+    """Martingale given by an explicit table on all strings up to depth: the
+    value at the string of rank r (see :func:`codec.num_of`) is ``nums[r] /
+    dens[r]``, ``dens[r] > 0``.  The state at sigma carries its rank r, so a
+    step reads ranks 2r+1 and 2r+2."""
 
     def __init__(self, depth: int, table: dict[str, Fraction]):
+        values = {num_of(s): _rational("table value", v) for s, v in table.items()}
+        self._file(depth, {r: (v.numerator, v.denominator) for r, v in values.items()})
+
+    @classmethod
+    def from_ranks(cls, depth: int, ranked: dict[int, tuple[int, int]]) -> TableMartingale:
+        """The table with ``ranked[r]`` = (numerator, positive denominator) at rank r."""
+        m = cls.__new__(cls)
+        m._file(depth, ranked)
+        return m
+
+    def _file(self, depth: int, ranked: dict[int, tuple[int, int]]) -> None:
         if depth < 0:
             raise ValueError("depth must be a natural number")
-        self.depth = depth
-        self.table = {s: Fraction(_rational("table value", v)) for s, v in table.items()}
-        for sigma in strings_up_to(depth):
-            if sigma not in self.table:
-                raise ValueError(f"table is missing the string {sigma!r}")
-        self.start = _num_den(self.table[""])
+        size = (2 << depth) - 1
+        try:
+            # stops at the least missing rank, which is at most len(ranked)
+            pairs = [ranked[r] for r in range(size)]
+        except KeyError as exc:
+            raise ValueError(f"table is missing the string {str_of(exc.args[0])!r}") from None
+        self.nums, self.dens = zip(*pairs)
+        self.depth, self.start = depth, (self.nums[0], self.dens[0], 0)
+
+    @property
+    def table(self) -> dict[str, Fraction]:
+        """Every value as a ``str -> Fraction`` dict, built afresh on each access."""
+        return {str_of(r): Fraction(*v) for r, v in enumerate(zip(self.nums, self.dens))}
 
     def _step(self, sigma: str, state: State) -> tuple[State, State]:
-        return _num_den(self.table[sigma + "0"]), _num_den(self.table[sigma + "1"])
+        r = 2 * state[2] + 1
+        return (self.nums[r], self.dens[r], r), (self.nums[r + 1], self.dens[r + 1], r + 1)
 
 
 class StrategyMartingale(Martingale):
@@ -157,7 +171,7 @@ class StrategyMartingale(Martingale):
         self.depth = depth
         self.initial = Fraction(initial)
         self.rule = rule
-        self.start = _num_den(self.initial)
+        self.start = self.initial.numerator, self.initial.denominator
 
     def _step(self, sigma: str, state: State) -> tuple[State, State]:
         stake, predicted = self.rule(sigma)
@@ -256,7 +270,7 @@ class SavingsMartingale(Martingale):
 
     def saved_active(self, sigma: str) -> tuple[int, Fraction]:
         """Banked units and working part at ``sigma``."""
-        num, den, saved, _ = list(self._states(sigma))[-1]
+        num, den, saved, _ = deque(self._states(sigma), maxlen=1)[0]
         return saved, Fraction(num - saved * den, den)
 
 
@@ -309,14 +323,6 @@ def capital_trace(m: Martingale, path: str) -> list[Fraction]:
     return [Fraction(num, den) for num, den in m.walk(path)]
 
 
-def combine_sum(members: Sequence[tuple[Fraction, Martingale]]) -> SumMartingale:
-    return SumMartingale(members)
-
-
-def savings_transform(m: Martingale) -> SavingsMartingale:
-    return SavingsMartingale(m)
-
-
 def success_at(m: Martingale, path: str, threshold: Fraction) -> Optional[int]:
     """Least prefix length at which capital reaches the threshold, if any."""
     for n, capital in enumerate(capital_trace(m, path)):
@@ -327,35 +333,29 @@ def success_at(m: Martingale, path: str, threshold: Fraction) -> Optional[int]:
 
 def schnorr_hits(m: Martingale, f: BoundFunction, path: str) -> list[int]:
     """All n with capital strictly above n at the checkpoint f(n)+1."""
-    hits = []
-    for n in range(len(f)):
-        if f(n) + 1 > len(path):
-            break
-        if m.value(path[: f(n) + 1]) > n:
-            hits.append(n)
-    return hits
+    ends = [x + 1 for x in f.values if x < len(path)]
+    trace = m.walk(path[: ends[-1]]) if ends else []
+    return [n for n, end in enumerate(ends) if trace[end][0] > n * trace[end][1]]
 
 
 def load_table(path) -> TableMartingale:
-    """Read a martingale table file: one ``<bits|-> <num>/<den>`` per line."""
-    table: dict[str, Fraction] = {}
+    """Read a martingale table file: one ``<bits|-> <value>`` per line, where a
+    value is ``[+-]digits`` or ``[+-]digits/digits`` (see :func:`codec.read_rational`)."""
+    ranked: dict[int, tuple[int, int]] = {}
     for where, line in read_lines(path):
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{where}: expected '<string> <value>'")
         sigma = read_bits(parts[0], where)
-        try:
-            value = Fraction(parts[1])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{where}: bad rational {parts[1]!r}") from exc
-        if sigma in table:
+        rank = (1 << len(sigma)) - 1 + int(sigma or "0", 2)  # num_of(sigma), checked once
+        value = read_rational(parts[1], where)
+        if rank in ranked:
             raise ValueError(f"{where}: duplicate entry for {parts[0]!r}")
-        table[sigma] = value
-    if not table:
+        ranked[rank] = value
+    if not ranked:
         raise ValueError(f"{path}: empty martingale table")
-    depth = max(len(s) for s in table)
     try:
-        return TableMartingale(depth, table)
+        return TableMartingale.from_ranks(len(str_of(max(ranked))), ranked)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

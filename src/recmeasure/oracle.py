@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterator, Optional
 
-from .codec import check_bits
+from .codec import check_bits, num_of
 from .martingale import Martingale, State, TableMartingale, all_strings
 from .martingale import savings_start, savings_step
 from .nulltests import ClopenSet, normalize
@@ -133,12 +133,14 @@ def averaged_martingale(
                 one[s1] = one.get(s1, 0) + count
         return zero, one
 
-    table = {}
+    ranked = {}
     for sigma, groups in _tree(f, uses, 1, node):
         den = lcm(*(s[1] for s in groups))
         num = sum(count * s[0] * (den // s[1]) for s, count in groups.items())
-        table[sigma] = Fraction(num, den << uses[len(sigma)])
-    return TableMartingale(depth, table)
+        den <<= uses[len(sigma)]
+        g = gcd(num, den)
+        ranked[num_of(sigma)] = num // g, den // g
+    return TableMartingale.from_ranks(depth, ranked)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from recmeasure.martingale import StrategyMartingale, TableMartingale, strings_up_to
+from recmeasure.martingale import StrategyMartingale, TableMartingale, all_strings
+
+
+def strings_up_to(depth: int):
+    """All binary strings of length <= depth, shorter first, each length in order."""
+    for length in range(depth + 1):
+        yield from all_strings(length)
 
 
 def random_strategy_martingale(rng: random.Random, depth: int) -> StrategyMartingale:
@@ -18,6 +24,26 @@ def random_strategy_martingale(rng: random.Random, depth: int) -> StrategyMartin
         return choices[sigma]
 
     return StrategyMartingale(depth, Fraction(1), rule)
+
+
+def table_file_text(rng: random.Random, depth: int) -> tuple[str, dict[str, Fraction]]:
+    """A table file of every string up to ``depth`` and its values as Fractions.
+
+    The lines are shuffled among comments and blank lines, fields are split
+    by spaces or a tab, and the values come signed (``+3``, ``-0``), unreduced (``2/4``), negative and as bare
+    integers, so the file reads back only if every form parses alike.
+    """
+    table, lines = {}, []
+    for sigma in strings_up_to(depth):
+        table[sigma] = v = Fraction(rng.randint(-6, 12), rng.choice([1, 2, 3, 4, 8]))
+        k = rng.randint(1, 3)
+        num, den = v.numerator * k, v.denominator * k
+        sign = rng.choice(["", "+", "-"] if num == 0 else ["", "+"] if num > 0 else [""])
+        token = f"{sign}{num}" if den == 1 else f"{sign}{num}/{den}"
+        lines.append(f"{sigma or '-'}{rng.choice([' ', '   ', chr(9)])}{token}")
+    lines += rng.choices(["# comment", "", "  # indented comment"], k=depth + 1)
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n", table
 
 
 def as_table(m, depth: int) -> TableMartingale:

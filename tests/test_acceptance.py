@@ -12,11 +12,10 @@ from fractions import Fraction
 
 from recmeasure.codec import budget_sequence, logpart_size, num_of, s_index, str_of
 from recmeasure.martingale import (
+    SavingsMartingale,
+    SumMartingale,
     all_strings,
     capital_trace,
-    combine_sum,
-    savings_transform,
-    strings_up_to,
     validate,
 )
 from recmeasure.oracle import (
@@ -37,7 +36,7 @@ from recmeasure.strategies import (
     prune_largest,
 )
 
-from conftest import random_strategy_martingale
+from conftest import random_strategy_martingale, strings_up_to
 from test_nulltests import TestAvoidance
 from test_oracle import brute_force_average
 
@@ -53,13 +52,13 @@ def test_criterion_01_averaging_everywhere():
     constructed = {
         "coincidence": coincidence_martingale("0110100110"),
         "pair-doubling": pair_doubling_martingale(10),
-        "sum": combine_sum(
+        "sum": SumMartingale(
             [
                 (Fraction(1, 3), coincidence_martingale("0" * 10)),
                 (Fraction(2, 3), coincidence_martingale("1" * 10)),
             ]
         ),
-        "savings": savings_transform(random_strategy_martingale(rng, 10)),
+        "savings": SavingsMartingale(random_strategy_martingale(rng, 10)),
         "averaged(prefix)": averaged_martingale(
             prefix_coincidence_functional(4), 10
         ),

@@ -11,6 +11,8 @@ from recmeasure import cli
 from recmeasure.cli import main
 from recmeasure.nulltests import dnr_cover_product
 
+from conftest import table_file_text
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -81,6 +83,30 @@ class TestExitCodes:
         assert main(["validate", str(path)]) == 2
         assert f"{path}: table is missing the string '1'" in capsys.readouterr().err
 
+    def test_sparse_deep_table_fails_fast(self, capsys, tmp_path):
+        # ranks up to 2^61 named, two given: no slot is made past the entries
+        path = tmp_path / "sparse.txt"
+        path.write_text("- 1\n" + "0" * 60 + " 1\n")
+        assert main(["validate", str(path)]) == 2
+        assert f"{path}: table is missing the string '0'" in capsys.readouterr().err
+
+    def test_empty_table_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# nothing\n\n")
+        assert main(["validate", str(path)]) == 2
+        assert f"error: {path}: empty martingale table" in capsys.readouterr().err
+
+    def test_exponent_value_exits_2_fast(self, tmp_path):
+        # Fraction("1e400000000") would build a 400-million-digit integer
+        path = tmp_path / "exponent.txt"
+        path.write_text("- 1e400000000\n0 1\n1 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "recmeasure.cli", "validate", str(path)],
+            capture_output=True, env=subprocess_env("0"), timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == f"error: {path}:1: bad rational '1e400000000'\n"
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -115,6 +141,10 @@ class TestBadInputLines:
         [
             (["validate"], b"- 1\n0 3/2\n2 1/2\n", 3, "not a binary string: '2'"),
             (["validate"], b"- 1\n0 3/2\n1 1/2 # caf\xe9\n", 3, "non-ASCII byte 0xe9"),
+            (["validate"], b"- 1\n0 1.5\n1 1/2\n", 2, "bad rational '1.5'"),
+            (["validate"], b"- 1\n0 3/2\n1 1/0\n", 3, "bad rational '1/0'"),
+            (["validate"], b"- 1\n0 3/2\n-  2\n", 3, "duplicate entry for '-'"),
+            (["validate"], b"- 1\n0 3/2 1\n", 2, "expected '<string> <value>'"),
             (["measure"], b"0\n# comment\n\n10\n1x\n", 5, "not a binary string: '1x'"),
             (["measure"], b"0\n\xff1\n", 2, "non-ASCII byte 0xff"),
             (["engulf", "--j", "0"], b"[level 0]\n-\n[level 1]\n0a\n", 4,
@@ -123,7 +153,8 @@ class TestBadInputLines:
             (["param"], b"012\n\n0x1\n", 3, "row must be over 0/1/2"),
             (["param"], b"012\n\x80\n", 2, "non-ASCII byte 0x80"),
         ],
-        ids=["table-token", "table-byte", "clopen-token", "clopen-byte",
+        ids=["table-token", "table-byte", "table-decimal", "table-zero-denominator",
+             "table-duplicate", "table-fields", "clopen-token", "clopen-byte",
              "kurtz-token", "kurtz-byte", "param-token", "param-byte"],
     )
     def test_exits_2_at_the_line(self, capsys, tmp_path, command, text, lineno, message):
@@ -318,6 +349,17 @@ class TestDeterminism:
         second = run_subprocess(argv, "424242")
         assert first.returncode == second.returncode == 0, first.stderr
         assert first.stdout == second.stdout
+
+    @pytest.mark.parametrize("command", ["validate", "adversary"])
+    def test_table_commands_deterministic(self, tmp_path, command):
+        text, _ = table_file_text(random.Random(8), 8)
+        path = tmp_path / "table8.txt"
+        path.write_text(text)
+        procs = [run_subprocess([command, str(path)], seed) for seed in ("1", "7", "99")]
+        for proc in procs:
+            assert proc.returncode in (0, 1), proc.stderr
+            assert proc.stdout.count(b"\n") > 8
+        assert procs[0].stdout == procs[1].stdout == procs[2].stdout
 
     def test_json_mode_deterministic(self, clopen_file):
         argv = ["--json", "measure", clopen_file]

@@ -14,6 +14,7 @@ from recmeasure.codec import (
     num_of,
     pair,
     parity,
+    read_rational,
     s_index,
     str_of,
 )
@@ -177,6 +178,35 @@ class TestBudget:
         long = budget_sequence(20)
         for k in (0, 3, 11):
             assert budget_sequence(k).terms == long.terms[: k + 1]
+
+
+class TestReadRational:
+    @given(st.from_regex(r"[+-]?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True))
+    def test_grammar_reads_as_fraction(self, token):
+        if "/" in token and int(token.partition("/")[2]) == 0:
+            with pytest.raises(ValueError, match="bad rational"):
+                read_rational(token, "t.txt:1")
+            return
+        num, den = read_rational(token, "t.txt:1")
+        assert den > 0 and Fraction(num, den) == Fraction(token)
+
+    @given(st.text("0123456789+-/._eE ", max_size=12))
+    def test_accepted_tokens_equal_fraction(self, token):
+        try:
+            num, den = read_rational(token, "t.txt:1")
+        except ValueError as exc:
+            assert str(exc) == f"t.txt:1: bad rational {token!r}"
+            return
+        assert den > 0 and Fraction(num, den) == Fraction(token)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1.5", ".5", "1e3", "1E3", "1e400000000", "1_000", "1/2_0", "\u0661", "1/0",
+         "+-1", "1/", "/2", "1/-2", "1/+2", "", "-", "0x10", "inf", "nan"],
+    )
+    def test_outside_the_grammar_rejected(self, token):
+        with pytest.raises(ValueError, match=r"^t\.txt:1: bad rational "):
+            read_rational(token, "t.txt:1")
 
 
 def test_parity():

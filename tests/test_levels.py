@@ -6,6 +6,7 @@ import random
 import re
 from fractions import Fraction
 from math import floor, lcm
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from recmeasure.martingale import (
     SAVINGS_DROP_BOUND,
+    BoundFunction,
     Martingale,
     SavingsMartingale,
     StrategyMartingale,
@@ -20,9 +22,8 @@ from recmeasure.martingale import (
     TableMartingale,
     all_strings,
     capital_trace,
-    combine_sum,
-    savings_transform,
-    strings_up_to,
+    load_table,
+    schnorr_hits,
     validate,
 )
 from recmeasure.nulltests import normalize
@@ -37,16 +38,24 @@ from recmeasure.oracle import (
 )
 from recmeasure.strategies import adversary_sequence, coincidence_martingale, coincidence_step
 
-from conftest import random_strategy_martingale
+from conftest import random_strategy_martingale, strings_up_to, table_file_text
 from test_oracle import brute_force_average
 
 DEPTH = 6
 
 
+class RefTable(TableMartingale):
+    """A table martingale that keeps the dict it was built from, as the reference."""
+
+    def __init__(self, depth: int, table: dict[str, Fraction]):
+        super().__init__(depth, table)
+        self.reference = dict(table)
+
+
 def reference_value(m: Martingale, sigma: str) -> Fraction:
     """Capital at sigma on Fractions, from the definition of each kind and not its step."""
-    if isinstance(m, TableMartingale):
-        return m.table[sigma]
+    if isinstance(m, RefTable):
+        return m.reference[sigma]
     if isinstance(m, SumMartingale):
         return sum((w * reference_value(x, sigma) for w, x in m.members), Fraction(0))
     if isinstance(m, SavingsMartingale):
@@ -80,14 +89,14 @@ def as_fractions(levels) -> list[list[Fraction]]:
     return [[Fraction(v, den) for v in nums] for nums, den in levels]
 
 
-def thirds_table(rng, depth: int) -> TableMartingale:
+def thirds_table(rng, depth: int) -> RefTable:
     """A valid table in thirds whose splits are arbitrary, so ratios are not integers."""
     table = {"": Fraction(1)}
     for sigma in strings_up_to(depth - 1):
         v = table[sigma]
         d = Fraction(rng.randint(-3 * v.numerator, 3 * v.numerator), 3 * v.denominator)
         table[sigma + "0"], table[sigma + "1"] = v + d, v - d
-    return TableMartingale(depth, table)
+    return RefTable(depth, table)
 
 
 def thirds_stake(sigma: str) -> Fraction:
@@ -123,15 +132,15 @@ def prefix_strategy(depth: int, tau: str, k: int) -> StrategyMartingale:
     return StrategyMartingale(depth, Fraction(1), rule)
 
 
-def reference_validate(m: Martingale, depth: int) -> list[str]:
-    """A node-by-node validator on reference values, the reference for validate()."""
+def reference_validate(value: Callable[[str], Fraction], depth: int) -> list[str]:
+    """A node-by-node validator on the values ``value(sigma)``, the reference for validate()."""
     violations = []
     for sigma in strings_up_to(depth):
-        v = reference_value(m, sigma)
+        v = value(sigma)
         if v < 0:
             violations.append(f"negative value {v} at {sigma or 'λ'!r}")
         if len(sigma) < depth:
-            left, right = reference_value(m, sigma + "0"), reference_value(m, sigma + "1")
+            left, right = value(sigma + "0"), value(sigma + "1")
             if 2 * v != left + right:
                 violations.append(
                     f"averaging violated at {sigma or 'λ'!r}: "
@@ -146,11 +155,11 @@ def all_kinds(rng) -> list[Martingale]:
     return [
         *randoms,
         thirds,
-        savings_transform(thirds),
+        SavingsMartingale(thirds),
         thirds_strategy(DEPTH, "011010"),
-        savings_transform(thirds_strategy(DEPTH, "110100")),
-        savings_transform(coincidence_martingale("010011")),
-        combine_sum([(Fraction(1, 3), randoms[0]), (Fraction(2, 7), thirds)]),
+        SavingsMartingale(thirds_strategy(DEPTH, "110100")),
+        SavingsMartingale(coincidence_martingale("010011")),
+        SumMartingale([(Fraction(1, 3), randoms[0]), (Fraction(2, 7), thirds)]),
     ]
 
 
@@ -162,7 +171,7 @@ class TestLevels:
             assert [len(nums) for nums, _ in levels] == [1 << n for n in range(DEPTH + 1)]
 
     def test_shallower_levels_are_a_prefix(self, rng):
-        m = savings_transform(thirds_table(rng, DEPTH))
+        m = SavingsMartingale(thirds_table(rng, DEPTH))
         assert as_fractions(m.levels(3)) == as_fractions(m.levels(DEPTH))[:4]
 
     def test_walk_equals_values(self, rng):
@@ -174,7 +183,7 @@ class TestLevels:
     def test_value_and_saved_active_equal_reference(self, rng):
         kinds = all_kinds(rng)
         assert {type(m) for m in kinds} == {
-            StrategyMartingale, TableMartingale, SavingsMartingale, SumMartingale
+            StrategyMartingale, RefTable, SavingsMartingale, SumMartingale
         }
         for m in kinds:
             for sigma in strings_up_to(DEPTH):
@@ -202,26 +211,66 @@ class TestLevels:
 
 class TestValidateMatchesReference:
     def test_planted_negative_and_break(self, rng):
-        table = dict(thirds_table(rng, 5).table)
+        table = thirds_table(rng, 5).reference
         table["1"], table["0"] = -table["1"], table["0"] + 2 * table["1"]
         table["0110"] += Fraction(1, 3)
         table["11111"] = Fraction(-7, 3)
         m = TableMartingale(5, table)
         got = validate(m, 5)
-        assert got == reference_validate(m, 5)
+        assert got == reference_validate(table.__getitem__, 5)
         assert any("negative" in v for v in got)
         assert any("averaging violated at '0110'" in v for v in got)
 
     def test_shallower_depth(self, rng):
-        table = dict(thirds_table(rng, 5).table)
+        table = thirds_table(rng, 5).reference
         table["00"] += 1
         m = TableMartingale(5, table)
         for depth in range(6):
-            assert validate(m, depth) == reference_validate(m, depth)
+            assert validate(m, depth) == reference_validate(table.__getitem__, depth)
 
     def test_valid_kinds(self, rng):
         for m in all_kinds(rng):
-            assert validate(m, DEPTH) == reference_validate(m, DEPTH) == []
+            reference = functools.partial(reference_value, m)
+            assert validate(m, DEPTH) == reference_validate(reference, DEPTH) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), depth=st.integers(0, 5))
+    def test_loaded_tables(self, tmp_path_factory, seed, depth):
+        text, table = table_file_text(random.Random(seed), depth)
+        path = tmp_path_factory.mktemp("table") / "table.txt"
+        path.write_text(text)
+        m = load_table(path)
+        assert m.depth == depth and m.table == table
+        for sigma in strings_up_to(depth):
+            assert m.value(sigma) == table[sigma]
+        by_level = [[table[sigma] for sigma in all_strings(n)] for n in range(depth + 1)]
+        assert as_fractions(m.levels(depth)) == by_level
+        for d in range(depth + 1):
+            assert validate(m, d) == reference_validate(table.__getitem__, d)
+
+
+def per_checkpoint_hits(m: Martingale, f: BoundFunction, path: str) -> list[int]:
+    """schnorr_hits by its definition, one reference value per checkpoint."""
+    hits = []
+    for n in range(len(f)):
+        if f(n) + 1 > len(path):
+            break
+        if reference_value(m, path[: f(n) + 1]) > n:
+            hits.append(n)
+    return hits
+
+
+class TestSinglePathQueries:
+    def test_schnorr_hits_and_saved_active_match_definitions(self, rng):
+        for _ in range(5):
+            m = random_strategy_martingale(rng, 10)
+            s = SavingsMartingale(m)
+            for _ in range(20):
+                f = BoundFunction(tuple(sorted(rng.sample(range(12), rng.randint(0, 6)))))
+                path = "".join(rng.choice("01") for _ in range(rng.randint(0, 10)))
+                assert schnorr_hits(m, f, path) == per_checkpoint_hits(m, f, path)
+                assert schnorr_hits(s, f, path) == per_checkpoint_hits(s, f, path)
+                assert s.saved_active(path) == reference_saved_active(s, path)
 
 
 class TestOracleEngine:
@@ -257,7 +306,7 @@ class TestOracleEngine:
         kernels = [
             (
                 savings_functional(oracle_coincidence_functional()),
-                lambda tau, depth: savings_transform(coincidence_martingale(tau)),
+                lambda tau, depth: SavingsMartingale(coincidence_martingale(tau)),
             ),
             (oracle_coincidence_functional(), lambda tau, depth: coincidence_martingale(tau)),
             (
@@ -266,7 +315,7 @@ class TestOracleEngine:
             ),
             (
                 savings_functional(TTFunctional("thirds", lambda n: n, (1, 1), thirds_step)),
-                lambda tau, depth: savings_transform(thirds_strategy(depth, tau)),
+                lambda tau, depth: SavingsMartingale(thirds_strategy(depth, tau)),
             ),
         ]
         for f, per_oracle in kernels:
@@ -294,7 +343,7 @@ class TestOracleEngine:
         depth = 9
         per_oracle = {
             "coincidence": coincidence_martingale,
-            "savings-coincidence": lambda tau: savings_transform(coincidence_martingale(tau)),
+            "savings-coincidence": lambda tau: SavingsMartingale(coincidence_martingale(tau)),
         }
         for name, make in per_oracle.items():
             # per level, the sum over all oracles as integers over one denominator
@@ -430,7 +479,7 @@ class TestDeepQueries:
 
     def test_cold_deep_savings(self):
         ref = "01" * 1000
-        s = savings_transform(coincidence_martingale(ref))
+        s = SavingsMartingale(coincidence_martingale(ref))
         got = s.value(ref)
         assert got == Fraction(*s.walk(ref)[-1])
         saved, active = s.saved_active(ref)
@@ -453,4 +502,23 @@ class TestDeepQueries:
         assert len(calls) == 2 * len(ref)
         calls.clear()
         m.value(path)
+        assert len(calls) == len(path)
+
+    def test_rule_calls_per_checkpoint_walk(self):
+        calls = []
+        ref = "0110" * 50
+
+        def rule(sigma: str):
+            calls.append(sigma)
+            return Fraction(1, 2), int(ref[len(sigma)])
+
+        m = StrategyMartingale(len(ref), Fraction(1), rule)
+        f = BoundFunction(tuple(range(0, 300, 7)))
+        path = "01" * 100
+        hits = schnorr_hits(m, f, path)
+        # one rule call per step of the longest checkpoint in the path, f(28)+1 = 197
+        assert len(calls) == 197
+        assert hits == per_checkpoint_hits(m, f, path)
+        calls.clear()
+        SavingsMartingale(m).saved_active(path)
         assert len(calls) == len(path)

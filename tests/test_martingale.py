@@ -7,22 +7,21 @@ import pytest
 from recmeasure.martingale import (
     SAVINGS_DROP_BOUND,
     BoundFunction,
+    SavingsMartingale,
     StrategyMartingale,
+    SumMartingale,
     TableMartingale,
     all_strings,
     capital_trace,
-    combine_sum,
     dump_table,
     load_table,
-    savings_transform,
     schnorr_hits,
-    strings_up_to,
     success_at,
     validate,
 )
 from recmeasure.strategies import coincidence_martingale, pair_doubling_martingale
 
-from conftest import random_strategy_martingale
+from conftest import random_strategy_martingale, strings_up_to
 
 
 def constant_one(depth: int) -> TableMartingale:
@@ -105,7 +104,7 @@ class TestTrace:
 
 class TestCombineSum:
     def test_half_half_of_constants(self):
-        s = combine_sum(
+        s = SumMartingale(
             [(Fraction(1, 2), constant_one(3)), (Fraction(1, 2), constant_one(3))]
         )
         assert all(s.value(x) == 1 for x in strings_up_to(3))
@@ -113,7 +112,7 @@ class TestCombineSum:
     def test_opposite_coincidences(self):
         a = coincidence_martingale("0000")
         b = coincidence_martingale("1111")
-        s = combine_sum([(Fraction(1, 2), a), (Fraction(1, 2), b)])
+        s = SumMartingale([(Fraction(1, 2), a), (Fraction(1, 2), b)])
         # the first-bit bets cancel, deeper ones do not
         assert s.value("0") == s.value("1") == 1
         assert s.value("00") == Fraction(5, 4)
@@ -122,7 +121,7 @@ class TestCombineSum:
         assert validate(s, 4) == []
 
     def test_single_member_scales(self):
-        s = combine_sum([(Fraction(2), constant_one(2))])
+        s = SumMartingale([(Fraction(2), constant_one(2))])
         assert s.value("01") == 2
 
     def test_linearity_exact(self, rng):
@@ -131,28 +130,28 @@ class TestCombineSum:
             (Fraction(rng.randint(0, 5), 3), random_strategy_martingale(rng, depth))
             for _ in range(4)
         ]
-        s = combine_sum(members)
+        s = SumMartingale(members)
         for sigma in strings_up_to(depth):
             assert s.value(sigma) == sum(w * m.value(sigma) for w, m in members)
         assert validate(s, depth) == []
 
     def test_depth_mismatch_errors(self):
         with pytest.raises(ValueError):
-            combine_sum([(Fraction(1), constant_one(2)), (Fraction(1), constant_one(3))])
+            SumMartingale([(Fraction(1), constant_one(2)), (Fraction(1), constant_one(3))])
 
     def test_float_weight_rejected(self):
         with pytest.raises(ValueError, match="weight 0.5 is not an exact rational"):
-            combine_sum([(0.5, constant_one(2))])
-        assert combine_sum([(2, constant_one(2))]).value("01") == 2
+            SumMartingale([(0.5, constant_one(2))])
+        assert SumMartingale([(2, constant_one(2))]).value("01") == 2
 
     def test_negative_weight_errors(self):
         with pytest.raises(ValueError):
-            combine_sum([(Fraction(-1), constant_one(2))])
+            SumMartingale([(Fraction(-1), constant_one(2))])
 
 
 class TestSavings:
     def test_constant_unchanged(self):
-        s = savings_transform(constant_one(4))
+        s = SavingsMartingale(constant_one(4))
         assert all(s.value(x) == 1 for x in strings_up_to(4))
 
     def test_doubling_path_banks_units(self):
@@ -162,7 +161,7 @@ class TestSavings:
             return Fraction(1), 0
 
         m = StrategyMartingale(6, Fraction(1), rule)
-        s = savings_transform(m)
+        s = SavingsMartingale(m)
         saved_values = [s.saved_active("0" * i)[0] for i in range(7)]
         assert saved_values == sorted(saved_values)
         assert saved_values[-1] >= 3
@@ -174,7 +173,7 @@ class TestSavings:
         depth = 10
         for _ in range(5):
             m = random_strategy_martingale(rng, depth)
-            s = savings_transform(m)
+            s = SavingsMartingale(m)
             assert validate(s, depth) == []
             for leaf in all_strings(depth):
                 trace = capital_trace(s, leaf)
@@ -188,7 +187,7 @@ class TestSavings:
     def test_rejects_large_initial_capital(self):
         big = TableMartingale(0, {"": Fraction(3)})
         with pytest.raises(ValueError):
-            savings_transform(big)
+            SavingsMartingale(big)
 
 
 class TestSuccess:

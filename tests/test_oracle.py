@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from recmeasure.martingale import all_strings, strings_up_to, validate
+from recmeasure.martingale import all_strings, validate
 from recmeasure.oracle import (
     BUILTIN_KERNELS,
     GuardExceeded,
@@ -19,6 +19,8 @@ from recmeasure.oracle import (
     savings_functional,
 )
 from recmeasure.strategies import adversary_sequence, coincidence_step
+
+from conftest import strings_up_to
 
 
 def brute_force_average(f: TTFunctional, sigma: str, depth: int) -> Fraction:
