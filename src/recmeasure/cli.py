@@ -146,9 +146,9 @@ def cmd_average(args) -> tuple[list[Result], list[str]]:
     n = oracle.averaged_martingale(f, args.depth, guard=args.guard)
     results: list[Result] = [("kernel", f.name)]
     results += [
-        (f"N({_show(sigma)})", fmt(Fraction(num, den)))
-        for length, (nums, den) in enumerate(n.levels(args.depth))
-        for sigma, num in zip(martingale.all_strings(length), nums)
+        (f"N({_show(sigma)})", fmt(Fraction(*value)))
+        for length, level in enumerate(n.levels(args.depth))
+        for sigma, value in zip(martingale.all_strings(length), level)
     ]
     violations = martingale.validate(n, args.depth)
     return results, violations
@@ -162,7 +162,7 @@ def cmd_exceed(args) -> tuple[list[Result], list[str]]:
         n_avg = oracle.averaged_martingale(f, args.depth, guard=args.guard)
         path = strategies.adversary_sequence(n_avg, args.depth)
     exceed = oracle.exceed_set(f, path, args.n, guard=args.guard)
-    bound = Fraction(1, 2 ** (args.n - 1)) if args.n >= 1 else Fraction(2)
+    bound = Fraction(2, 2**args.n)
     results: list[Result] = [
         ("kernel", f.name),
         ("path", _show(path)),

@@ -51,15 +51,17 @@ def read_rational(token: str, where: str) -> tuple[int, int]:
     denominator); the denominator must be nonzero.
 
     Only this grammar is read: an exponent such as ``1e400000000`` would ask
-    for a number of that many digits.
+    for a number of that many digits.  Each part has at most 4300 digits,
+    CPython's default int-from-str limit, which the CLI lifts for output:
+    ``int`` is quadratic in the digit count.
     """
     num, slash, den = token.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
-    if token.isascii() and digits.isdecimal() and (den.isdecimal() or not slash):
-        try:
-            num, den = int(num), int(den or 1)
-        except ValueError:  # past the interpreter's int-from-str digit limit
-            den = 0
+    if (
+        token.isascii() and digits.isdecimal() and (den.isdecimal() or not slash)
+        and len(digits) <= 4300 and len(den) <= 4300
+    ):
+        num, den = int(num), int(den or 1)
         if den:
             return num, den
     raise ValueError(f"{where}: bad rational {token!r}")

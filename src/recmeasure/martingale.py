@@ -21,9 +21,9 @@ from .codec import check_bits, num_of, read_bits, read_lines, read_rational, str
 # than SAVINGS_DROP_BOUND below any earlier value.
 SAVINGS_DROP_BOUND = 2
 
-# The exact values of all strings of one length, in rank order, as integer
-# numerators over one common denominator.
-Level = tuple[list[int], int]
+# The exact values of all strings of one length, in rank order, each as
+# (numerator, positive denominator), the form ``walk`` gives.
+Level = list[tuple[int, int]]
 
 # A martingale's evaluation state at one string; its first two entries are
 # the exact capital there as numerator and (positive) denominator.
@@ -83,8 +83,7 @@ class Martingale:
                     for sigma, state in zip(all_strings(length - 1), states)
                     for child in self._step(sigma, state)
                 ]
-            den = lcm(*(state[1] for state in states))
-            out.append(([state[0] * (den // state[1]) for state in states], den))
+            out.append([state[:2] for state in states])
         return out
 
     def _check_query(self, sigma: str) -> str:
@@ -300,20 +299,20 @@ def validate(m: Martingale, depth: int) -> list[str]:
     """
     levels = m.levels(depth)
     violations = []
-    for length, (nums, den) in enumerate(levels):
-        children, c_den = levels[length + 1] if length < depth else (None, 1)
-        for i, v in enumerate(nums):
-            if v < 0:
+    for length, level in enumerate(levels):
+        children = levels[length + 1] if length < depth else None
+        for i, (n, d) in enumerate(level):
+            if n < 0:
                 sigma = str_of((1 << length) - 1 + i)
-                violations.append(f"negative value {Fraction(v, den)} at {sigma or 'λ'!r}")
+                violations.append(f"negative value {Fraction(n, d)} at {sigma or 'λ'!r}")
             if children is None:
                 continue
-            left, right = children[2 * i], children[2 * i + 1]
-            if 2 * v * c_den != (left + right) * den:
+            (n0, d0), (n1, d1) = children[2 * i], children[2 * i + 1]
+            if 2 * n * d0 * d1 != (n0 * d1 + n1 * d0) * d:
                 sigma = str_of((1 << length) - 1 + i)
                 violations.append(
                     f"averaging violated at {sigma or 'λ'!r}: "
-                    f"2*{Fraction(v, den)} != {Fraction(left, c_den)} + {Fraction(right, c_den)}"
+                    f"2*{Fraction(n, d)} != {Fraction(n0, d0)} + {Fraction(n1, d1)}"
                 )
     return violations
 
@@ -363,8 +362,8 @@ def load_table(path) -> TableMartingale:
 def dump_table(m: Martingale, depth: int | None = None) -> str:
     depth = m.depth if depth is None else depth
     lines = [
-        f"{sigma or '-'} {Fraction(num, den)}"
-        for length, (nums, den) in enumerate(m.levels(depth))
-        for sigma, num in zip(all_strings(length), nums)
+        f"{sigma or '-'} {Fraction(*value)}"
+        for length, level in enumerate(m.levels(depth))
+        for sigma, value in zip(all_strings(length), level)
     ]
     return "\n".join(lines) + "\n"

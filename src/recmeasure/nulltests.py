@@ -51,9 +51,6 @@ class ClopenSet:
         return sorted(self.generators, key=lambda g: (len(g), g))
 
 
-EMPTY = ClopenSet(frozenset())
-
-
 def normalize(strings: Iterable[str]) -> ClopenSet:
     """Drop every string that has a proper prefix in the set."""
     return ClopenSet(frozenset(_minimal(check_bits(s) for s in strings)))

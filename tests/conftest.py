@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -26,8 +27,11 @@ def random_strategy_martingale(rng: random.Random, depth: int) -> StrategyMartin
     return StrategyMartingale(depth, Fraction(1), rule)
 
 
-def table_file_text(rng: random.Random, depth: int) -> tuple[str, dict[str, Fraction]]:
-    """A table file of every string up to ``depth`` and its values as Fractions.
+def table_file_text(
+    rng: random.Random, depth: int, dens: Sequence[int] = (1, 2, 3, 4, 8)
+) -> tuple[str, dict[str, Fraction]]:
+    """A table file of every string up to ``depth`` and its values as Fractions,
+    each with a denominator drawn from ``dens`` before reduction.
 
     The lines are shuffled among comments and blank lines, fields are split
     by spaces or a tab, and the values come signed (``+3``, ``-0``), unreduced (``2/4``), negative and as bare
@@ -35,7 +39,7 @@ def table_file_text(rng: random.Random, depth: int) -> tuple[str, dict[str, Frac
     """
     table, lines = {}, []
     for sigma in strings_up_to(depth):
-        table[sigma] = v = Fraction(rng.randint(-6, 12), rng.choice([1, 2, 3, 4, 8]))
+        table[sigma] = v = Fraction(rng.randint(-6, 12), rng.choice(dens))
         k = rng.randint(1, 3)
         num, den = v.numerator * k, v.denominator * k
         sign = rng.choice(["", "+", "-"] if num == 0 else ["", "+"] if num > 0 else [""])

@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 import subprocess
@@ -107,6 +108,28 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.decode() == f"error: {path}:1: bad rational '1e400000000'\n"
 
+    def test_long_value_exits_2_fast(self, tmp_path):
+        # int() of 400,000 digits is quadratic; the reader stops at 4300
+        path = tmp_path / "long.txt"
+        path.write_text("- " + "9" * 400_000 + "\n0 1\n1 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "recmeasure.cli", "validate", str(path)],
+            capture_output=True, env=subprocess_env("0"), timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith(f"error: {path}:1: bad rational '999")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty parametrization"), ("012\n01\n", "rows have differing lengths")],
+        ids=["empty", "ragged"],
+    )
+    def test_bad_parametrization_names_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "rows.txt"
+        path.write_text(text)
+        assert main(["param", str(path)]) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -150,12 +173,19 @@ class TestBadInputLines:
             (["engulf", "--j", "0"], b"[level 0]\n-\n[level 1]\n0a\n", 4,
              "not a binary string: '0a'"),
             (["engulf", "--j", "0"], b"[level 0]\n-\n# \xc3\xa9\n", 3, "non-ASCII byte 0xc3"),
+            (["engulf", "--j", "0"], b"[level 0]\n-\n[lvl 1]\n", 3, "bad section '[lvl 1]'"),
+            (["engulf", "--j", "0"], b"[level 0]\n-\n[level x]\n", 3, "bad level index"),
+            (["engulf", "--j", "0"], b"[level 0]\n-\n[level 2]\n", 3,
+             "expected level 1, got 2"),
+            (["engulf", "--j", "0"], b"# rows\n0\n[level 0]\n", 2,
+             "generator before any [level i]"),
             (["param"], b"012\n\n0x1\n", 3, "row must be over 0/1/2"),
             (["param"], b"012\n\x80\n", 2, "non-ASCII byte 0x80"),
         ],
         ids=["table-token", "table-byte", "table-decimal", "table-zero-denominator",
              "table-duplicate", "table-fields", "clopen-token", "clopen-byte",
-             "kurtz-token", "kurtz-byte", "param-token", "param-byte"],
+             "kurtz-token", "kurtz-byte", "kurtz-section", "kurtz-index", "kurtz-order",
+             "kurtz-orphan", "param-token", "param-byte"],
     )
     def test_exits_2_at_the_line(self, capsys, tmp_path, command, text, lineno, message):
         path = tmp_path / "input.txt"
@@ -332,6 +362,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def subprocess_env(hashseed):
     """A minimal environment that still imports the package from this checkout."""
     return {"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)}
+
+
+def test_library_imports_only_the_stdlib():
+    """The package's north star: every absolute import is stdlib or recmeasure."""
+    for source in sorted((SRC / "recmeasure").glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "recmeasure", (source.name, name)
 
 
 def run_subprocess(argv, hashseed):

@@ -208,6 +208,16 @@ class TestReadRational:
         with pytest.raises(ValueError, match=r"^t\.txt:1: bad rational "):
             read_rational(token, "t.txt:1")
 
+    def test_at_most_4300_digits_per_part(self):
+        # past 4300 digits int() is quadratic in the digit count once cli.main
+        # lifts the interpreter's limit, so the reader stops there
+        big = "9" * 4300
+        assert read_rational(big, "t.txt:1") == (int(big), 1)
+        assert read_rational(f"-{big}/{big}", "t.txt:1") == (-int(big), int(big))
+        for token in (big + "9", f"-{big}9", f"1/{big}9", f"{big}9/{big}9"):
+            with pytest.raises(ValueError, match=r"^t\.txt:1: bad rational "):
+                read_rational(token, "t.txt:1")
+
 
 def test_parity():
     assert parity(0) == 0

@@ -4,6 +4,8 @@ Fraction reference computed here, node by node."""
 import functools
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import floor, lcm
 from typing import Callable
@@ -39,6 +41,7 @@ from recmeasure.oracle import (
 from recmeasure.strategies import adversary_sequence, coincidence_martingale, coincidence_step
 
 from conftest import random_strategy_martingale, strings_up_to, table_file_text
+from test_cli import subprocess_env
 from test_oracle import brute_force_average
 
 DEPTH = 6
@@ -86,7 +89,7 @@ def values_by_level(m: Martingale, depth: int) -> list[list[Fraction]]:
 
 
 def as_fractions(levels) -> list[list[Fraction]]:
-    return [[Fraction(v, den) for v in nums] for nums, den in levels]
+    return [[Fraction(*value) for value in level] for level in levels]
 
 
 def thirds_table(rng, depth: int) -> RefTable:
@@ -168,7 +171,7 @@ class TestLevels:
         for m in all_kinds(rng):
             levels = m.levels(DEPTH)
             assert as_fractions(levels) == values_by_level(m, DEPTH), type(m).__name__
-            assert [len(nums) for nums, _ in levels] == [1 << n for n in range(DEPTH + 1)]
+            assert [len(level) for level in levels] == [1 << n for n in range(DEPTH + 1)]
 
     def test_shallower_levels_are_a_prefix(self, rng):
         m = SavingsMartingale(thirds_table(rng, DEPTH))
@@ -234,9 +237,14 @@ class TestValidateMatchesReference:
             assert validate(m, DEPTH) == reference_validate(reference, DEPTH) == []
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32), depth=st.integers(0, 5))
-    def test_loaded_tables(self, tmp_path_factory, seed, depth):
-        text, table = table_file_text(random.Random(seed), depth)
+    @given(
+        seed=st.integers(0, 2**32),
+        depth=st.integers(0, 5),
+        # a few shared denominators, or up to 63 mostly coprime ones of 6 digits
+        dens=st.sampled_from([(1, 2, 3, 4, 8), range(100_000, 1_000_000)]),
+    )
+    def test_loaded_tables(self, tmp_path_factory, seed, depth, dens):
+        text, table = table_file_text(random.Random(seed), depth, dens)
         path = tmp_path_factory.mktemp("table") / "table.txt"
         path.write_text(text)
         m = load_table(path)
@@ -247,6 +255,25 @@ class TestValidateMatchesReference:
         assert as_fractions(m.levels(depth)) == by_level
         for d in range(depth + 1):
             assert validate(m, d) == reference_validate(table.__getitem__, d)
+
+    def test_coprime_depth_14_table_is_fast(self, tmp_path):
+        # pairwise distinct 6-digit denominators: a common denominator per
+        # level would grow like their product
+        rng = random.Random(14)
+        dens = rng.sample(range(100_000, 1_000_000), (2 << 14) - 1)
+        table = {sigma: Fraction(1, q) for sigma, q in zip(strings_up_to(14), dens)}
+        path = tmp_path / "coprime.txt"
+        path.write_text("".join(f"{s or '-'} 1/{v.denominator}\n" for s, v in table.items()))
+        proc = subprocess.run(
+            [sys.executable, "-m", "recmeasure.cli", "validate", str(path)],
+            capture_output=True, env=subprocess_env("0"), timeout=20,
+        )
+        violations = reference_validate(table.__getitem__, 14)
+        assert len(violations) == (1 << 14) - 1
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.decode() == "depth: 14\nvalid: false\n" + "".join(
+            f"violation: {v}\n" for v in violations
+        )
 
 
 def per_checkpoint_hits(m: Martingale, f: BoundFunction, path: str) -> list[int]:
@@ -349,11 +376,12 @@ class TestOracleEngine:
             # per level, the sum over all oracles as integers over one denominator
             totals = [([0] * (1 << n), 1) for n in range(depth + 1)]
             for tau in all_strings(depth):
-                for n, (nums, den) in enumerate(make(tau).levels(depth)):
+                for n, level in enumerate(make(tau).levels(depth)):
                     sums, common = totals[n]
-                    scale = lcm(common, den)
+                    scale = lcm(common, *(den for _, den in level))
                     totals[n] = (
-                        [x * (scale // common) + y * (scale // den) for x, y in zip(sums, nums)],
+                        [x * (scale // common) + y * (scale // den)
+                         for x, (y, den) in zip(sums, level)],
                         scale,
                     )
             expected = [[Fraction(x, den << depth) for x in sums] for sums, den in totals]
