@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import codec, martingale, nulltests, oracle, param, strategies
+# Each handler imports the modules it runs, so a process loads only those.
+from . import codec
+
+if TYPE_CHECKING:
+    from . import martingale, oracle
 
 Result = tuple[str, str]
 
@@ -16,6 +20,9 @@ EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 
 FAMILIES = [f.value for f in codec.Family]
+# sorted(oracle.BUILTIN_KERNELS) and oracle.DEFAULT_GUARD: the parser must not import oracle
+KERNELS = ["coincidence", "constant", "prefix-coincidence", "savings-coincidence"]
+DEFAULT_GUARD = 20
 
 
 def fmt(value) -> str:
@@ -50,6 +57,7 @@ def _show(sigma: str) -> str:
 
 
 def _strategy_martingale(args) -> martingale.Martingale:
+    from . import strategies
     if args.strategy == "coincidence":
         if args.ref is None:
             raise ValueError("--strategy coincidence requires --ref")
@@ -62,6 +70,7 @@ def _strategy_martingale(args) -> martingale.Martingale:
 
 
 def _input_martingale(args) -> martingale.Martingale:
+    from . import martingale
     if args.table is not None and args.strategy is not None:
         raise ValueError("give either a table file or --strategy, not both")
     if args.table is not None:
@@ -72,6 +81,7 @@ def _input_martingale(args) -> martingale.Martingale:
 
 
 def _functional(args) -> oracle.TTFunctional:
+    from . import oracle
     if args.kernel == "prefix-coincidence":
         return oracle.prefix_coincidence_functional(args.prefix_length)
     return oracle.BUILTIN_KERNELS[args.kernel]()
@@ -111,6 +121,7 @@ def cmd_budget(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_validate(args) -> tuple[list[Result], list[str]]:
+    from . import martingale
     m = martingale.load_table(args.table)
     depth = m.depth if args.depth is None else args.depth
     violations = martingale.validate(m, depth)
@@ -118,6 +129,7 @@ def cmd_validate(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_trace(args) -> tuple[list[Result], list[str]]:
+    from . import martingale
     m = _input_martingale(args)
     path = "" if args.path == "-" else args.path
     trace = martingale.capital_trace(m, path)
@@ -127,6 +139,7 @@ def cmd_trace(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_adversary(args) -> tuple[list[Result], list[str]]:
+    from . import martingale, strategies
     m = _input_martingale(args)
     length = m.depth if args.length is None else args.length
     path = strategies.adversary_sequence(m, length)
@@ -142,6 +155,7 @@ def cmd_adversary(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_average(args) -> tuple[list[Result], list[str]]:
+    from . import martingale, oracle
     f = _functional(args)
     n = oracle.averaged_martingale(f, args.depth, guard=args.guard)
     results: list[Result] = [("kernel", f.name)]
@@ -155,6 +169,7 @@ def cmd_average(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_exceed(args) -> tuple[list[Result], list[str]]:
+    from . import oracle, strategies
     f = _functional(args)
     if args.path is not None:
         path = "" if args.path == "-" else args.path
@@ -183,6 +198,7 @@ def cmd_exceed(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_measure(args) -> tuple[list[Result], list[str]]:
+    from . import nulltests
     c = nulltests.load_clopen(args.file)
     results: list[Result] = [("measure", fmt(c.measure()))]
     results += [
@@ -192,6 +208,7 @@ def cmd_measure(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_engulf(args) -> tuple[list[Result], list[str]]:
+    from . import nulltests
     rows = [nulltests.load_kurtz(p) for p in args.rows]
     i_max = len(rows) - 1 if args.i_max is None else args.i_max
     f_j, bound = nulltests.engulf_transform(rows, args.j, i_max)
@@ -210,6 +227,7 @@ def cmd_engulf(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_dnr_cover(args) -> tuple[list[Result], list[str]]:
+    from . import nulltests
     partials = nulltests.dnr_cover_product(args.e, args.n)
     results: list[Result] = [
         ("P_0", fmt(partials[0])),
@@ -228,6 +246,7 @@ def cmd_dnr_cover(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_param(args) -> tuple[list[Result], list[str]]:
+    from . import param
     p = param.load_parametrization(args.file)
     if args.halve:
         p = param.halve_transform(p)
@@ -287,11 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_adversary)
 
     def add_kernel_options(p):
-        p.add_argument("--kernel", required=True, choices=sorted(oracle.BUILTIN_KERNELS))
+        p.add_argument("--kernel", required=True, choices=KERNELS)
         p.add_argument("--prefix-length", type=natural, default=1,
                        help="prefix length for the prefix-coincidence kernel")
         p.add_argument("--depth", type=natural, required=True)
-        p.add_argument("--guard", type=natural, default=oracle.DEFAULT_GUARD,
+        p.add_argument("--guard", type=natural, default=DEFAULT_GUARD,
                        help="cap on the oracle enumeration length")
 
     p = sub.add_parser("average", help="oracle-averaged martingale table")
@@ -330,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def render(report: dict, as_json: bool) -> str:
     if as_json:
+        import json
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     lines = [f"{label}: {value}" for label, value in report["results"]]
     lines += [f"violation: {v}" for v in report["violations"]]

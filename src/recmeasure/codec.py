@@ -12,10 +12,15 @@ from fractions import Fraction
 from typing import Iterator
 
 
+def excerpt(token: str) -> str:
+    """``repr(token)`` for a message, cut to 40 characters plus the length."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} chars)"
+
+
 def check_bits(sigma: str) -> str:
     """Reject anything that is not a word over {0,1}."""
     if sigma.strip("01"):
-        raise ValueError(f"not a binary string: {sigma!r}")
+        raise ValueError(f"not a binary string: {excerpt(sigma)}")
     return sigma
 
 
@@ -64,7 +69,7 @@ def read_rational(token: str, where: str) -> tuple[int, int]:
         num, den = int(num), int(den or 1)
         if den:
             return num, den
-    raise ValueError(f"{where}: bad rational {token!r}")
+    raise ValueError(f"{where}: bad rational {excerpt(token)}")
 
 
 def num_of(sigma: str) -> int:

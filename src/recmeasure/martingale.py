@@ -14,7 +14,7 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .codec import check_bits, num_of, read_bits, read_lines, read_rational, str_of
+from .codec import check_bits, excerpt, num_of, read_bits, read_lines, read_rational, str_of
 
 # Capital banked by the savings transform in units of 1; the working part is
 # kept strictly below this cap, so capital along a path never drops by more
@@ -90,7 +90,7 @@ class Martingale:
         check_bits(sigma)
         if len(sigma) > self.depth:
             raise ValueError(
-                f"query {sigma!r} exceeds martingale depth {self.depth}"
+                f"query {excerpt(sigma)} exceeds martingale depth {self.depth}"
             )
         return sigma
 
@@ -349,7 +349,7 @@ def load_table(path) -> TableMartingale:
         rank = (1 << len(sigma)) - 1 + int(sigma or "0", 2)  # num_of(sigma), checked once
         value = read_rational(parts[1], where)
         if rank in ranked:
-            raise ValueError(f"{where}: duplicate entry for {parts[0]!r}")
+            raise ValueError(f"{where}: duplicate entry for {excerpt(parts[0])}")
         ranked[rank] = value
     if not ranked:
         raise ValueError(f"{path}: empty martingale table")

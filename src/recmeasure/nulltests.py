@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import codec
-from .codec import Family, check_bits, logpart_size, read_bits, read_lines, s_index
+from .codec import Family, check_bits, excerpt, logpart_size, read_bits, read_lines, s_index
 
 
 def _minimal(words: Iterable[str]) -> list[str]:
@@ -179,7 +179,7 @@ def load_kurtz(path) -> KurtzTest:
         if line.startswith("[") and line.endswith("]"):
             header = line[1:-1].split()
             if len(header) != 2 or header[0] != "level":
-                raise ValueError(f"{where}: bad section {line!r}")
+                raise ValueError(f"{where}: bad section {excerpt(line)}")
             try:
                 index = int(header[1])
             except ValueError as exc:

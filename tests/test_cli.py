@@ -118,6 +118,26 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert proc.stderr.decode().startswith(f"error: {path}:1: bad rational '999")
+        # the message shows the token's first characters and its length, not all of it
+        assert len(proc.stderr) < 200 and b"(400000 chars)" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [("validate", "{word} 1\n"), ("measure", "{word}\n")],
+        ids=["validate", "measure"],
+    )
+    def test_long_bad_word_message_is_short(self, capsys, tmp_path, command, line):
+        path = tmp_path / "long.txt"
+        path.write_text(line.format(word="01" * 100_000 + "x"))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: not a binary string: '0101")
+        assert len(err) < 200 and "(200001 chars)" in err
+
+    def test_long_query_message_is_short(self, capsys, good_table_file):
+        assert main(["trace", good_table_file, "--path", "01" * 50_000]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: query {'01' * 20!r}... (100000 chars) exceeds martingale depth 1\n"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -361,7 +381,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def subprocess_env(hashseed):
     """A minimal environment that still imports the package from this checkout."""
-    return {"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)}
+    return {"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC),
+            "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def test_library_imports_only_the_stdlib():
@@ -377,6 +398,108 @@ def test_library_imports_only_the_stdlib():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "recmeasure", (source.name, name)
+
+
+# The package's public names, each imported from its home module on first access.
+PUBLIC_NAMES = {
+    "codec": ["BudgetSequence", "Family", "IndexInterval", "budget_sequence", "interval",
+              "num_of", "pair", "parity", "s_index", "str_of"],
+    "martingale": ["SAVINGS_DROP_BOUND", "BoundFunction", "Martingale", "SavingsMartingale",
+                   "StrategyMartingale", "SumMartingale", "TableMartingale", "capital_trace",
+                   "schnorr_hits", "success_at", "validate"],
+    "nulltests": ["AvoidanceAssignment", "ClopenSet", "KurtzTest", "avoidance_measure",
+                  "divergence_partial", "dnr_cover_product", "engulf_transform",
+                  "kurtz_validate", "normalize"],
+    "oracle": ["ExceedSet", "TTFunctional", "averaged_martingale", "exceed_set",
+               "functional_validate"],
+    "param": ["Parametrization", "consistent", "halve_transform", "hits", "io_match_report",
+              "make_parametrization"],
+    "strategies": ["KillingBudget", "adversary_sequence", "capital_lower_bound",
+                   "coincidence_martingale", "killing_budget", "pair_doubling_martingale",
+                   "prune_largest"],
+}
+
+# Runs cli.main on argv in a fresh interpreter, then lists the json and
+# recmeasure modules it loaded on stderr.
+FOOTPRINT = """
+import sys
+from recmeasure import cli
+code = cli.main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m == "json" or m.startswith("recmeasure")),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def loaded_modules(argv):
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
+                          capture_output=True, env=subprocess_env("0"))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.decode().split()), proc.stdout
+
+
+class TestImports:
+    """A process loads only the modules its subcommand runs."""
+
+    def test_codec_loads_only_codec(self):
+        modules, out = loaded_modules(["codec", "--num", "-"])
+        assert modules == {"recmeasure", "recmeasure.cli", "recmeasure.codec"}
+        assert out == b"num(-): 0\n"
+
+    def test_measure_loads_no_martingale(self, clopen_file):
+        modules, _ = loaded_modules(["measure", clopen_file])
+        assert "recmeasure.nulltests" in modules
+        assert not modules & {"recmeasure.martingale", "recmeasure.oracle",
+                              "recmeasure.strategies", "recmeasure.param"}
+
+    def test_validate_loads_no_oracle(self, good_table_file):
+        modules, _ = loaded_modules(["validate", good_table_file])
+        assert "recmeasure.martingale" in modules
+        assert not modules & {"recmeasure.oracle", "recmeasure.nulltests",
+                              "recmeasure.strategies", "recmeasure.param"}
+
+    def test_json_loads_json(self):
+        modules, out = loaded_modules(["--json", "codec", "--num", "-"])
+        assert "json" in modules
+        assert out == (
+            b'{\n  "command": "codec",\n  "inputs": {\n    "command": "codec",\n'
+            b'    "num": "-"\n  },\n  "results": [\n    [\n      "num(-)",\n      "0"\n'
+            b'    ]\n  ],\n  "violations": []\n}\n'
+        )
+
+    def test_import_package_loads_no_submodule(self):
+        code = "import sys, recmeasure; print(*sorted(m for m in sys.modules if 'recmeasure' in m))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=subprocess_env("0"))
+        assert proc.stdout.split() == [b"recmeasure"], proc.stderr
+
+    def test_public_names_are_their_home_objects(self):
+        import importlib
+
+        import recmeasure
+
+        assert sorted(recmeasure.__all__) == sorted(sum(PUBLIC_NAMES.values(), []))
+        for module, names in PUBLIC_NAMES.items():
+            home = importlib.import_module(f"recmeasure.{module}")
+            for name in names:
+                assert getattr(recmeasure, name) is getattr(home, name), name
+                assert name in dir(recmeasure)
+
+    def test_unknown_name_and_star_import(self):
+        import recmeasure
+
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            recmeasure.nope
+        namespace = {}
+        exec("from recmeasure import *", namespace)
+        assert namespace["validate"] is recmeasure.martingale.validate
+        assert set(namespace) - {"__builtins__"} == set(recmeasure.__all__)
+
+    def test_kernel_options_match_oracle(self):
+        from recmeasure import oracle
+
+        assert cli.KERNELS == sorted(oracle.BUILTIN_KERNELS)
+        assert cli.DEFAULT_GUARD == oracle.DEFAULT_GUARD
 
 
 def run_subprocess(argv, hashseed):

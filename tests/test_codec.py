@@ -9,6 +9,7 @@ from recmeasure.codec import (
     Family,
     budget_sequence,
     check_bits,
+    excerpt,
     interval,
     logpart_size,
     num_of,
@@ -217,6 +218,24 @@ class TestReadRational:
         for token in (big + "9", f"-{big}9", f"1/{big}9", f"{big}9/{big}9"):
             with pytest.raises(ValueError, match=r"^t\.txt:1: bad rational "):
                 read_rational(token, "t.txt:1")
+
+
+class TestExcerpt:
+    def test_short_token_is_its_repr(self):
+        for token in ("", "1.5", "x" * 40, "0\u00e9\udcff"):
+            assert excerpt(token) == repr(token)
+
+    def test_long_token_is_cut_with_its_length(self):
+        assert excerpt("9" * 41) == f"{'9' * 40!r}... (41 chars)"
+        assert excerpt("01" * 100_000 + "x") == f"{'01' * 20!r}... (200001 chars)"
+
+    def test_readers_cut_long_tokens(self):
+        with pytest.raises(ValueError) as exc:
+            read_rational("9" * 400_000, "t.txt:1")
+        assert str(exc.value) == f"t.txt:1: bad rational {'9' * 40!r}... (400000 chars)"
+        with pytest.raises(ValueError) as exc:
+            check_bits("0" * 50 + "2")
+        assert str(exc.value) == f"not a binary string: {'0' * 40!r}... (51 chars)"
 
 
 def test_parity():
