@@ -9,19 +9,15 @@ import importlib
 _HOMES = {
     "codec": ("BudgetSequence", "Family", "IndexInterval", "budget_sequence", "interval",
               "num_of", "pair", "parity", "s_index", "str_of"),
-    "martingale": ("SAVINGS_DROP_BOUND", "BoundFunction", "Martingale", "SavingsMartingale",
-                   "StrategyMartingale", "SumMartingale", "TableMartingale", "capital_trace",
-                   "schnorr_hits", "success_at", "validate"),
-    "nulltests": ("AvoidanceAssignment", "ClopenSet", "KurtzTest", "avoidance_measure",
-                  "divergence_partial", "dnr_cover_product", "engulf_transform",
-                  "kurtz_validate", "normalize"),
+    "martingale": ("SAVINGS_DROP_BOUND", "Martingale", "SavingsMartingale", "StrategyMartingale",
+                   "TableMartingale", "capital_trace", "validate"),
+    "nulltests": ("ClopenSet", "KurtzTest", "divergence_partial", "dnr_cover_product",
+                  "engulf_transform", "kurtz_validate", "normalize"),
     "oracle": ("ExceedSet", "TTFunctional", "averaged_martingale", "exceed_set",
                "functional_validate"),
     "param": ("Parametrization", "consistent", "halve_transform", "hits", "io_match_report",
               "make_parametrization"),
-    "strategies": ("KillingBudget", "adversary_sequence", "capital_lower_bound",
-                   "coincidence_martingale", "killing_budget", "pair_doubling_martingale",
-                   "prune_largest"),
+    "strategies": ("adversary_sequence", "coincidence_martingale", "pair_doubling_martingale"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -160,9 +160,8 @@ def cmd_average(args) -> tuple[list[Result], list[str]]:
     n = oracle.averaged_martingale(f, args.depth, guard=args.guard)
     results: list[Result] = [("kernel", f.name)]
     results += [
-        (f"N({_show(sigma)})", fmt(Fraction(*value)))
-        for length, level in enumerate(n.levels(args.depth))
-        for sigma, value in zip(martingale.all_strings(length), level)
+        (f"N({_show(codec.str_of(r))})", fmt(Fraction(num, den)))
+        for r, (num, den) in enumerate(zip(n.nums, n.dens))
     ]
     violations = martingale.validate(n, args.depth)
     return results, violations

@@ -24,34 +24,30 @@ def check_bits(sigma: str) -> str:
     return sigma
 
 
-def read_lines(path) -> Iterator[tuple[str, str]]:
+def read_lines(path) -> Iterator[tuple[int, str]]:
     """The stripped lines of an ASCII text file, skipping blanks and ``#`` comments.
 
-    Yields ``(where, line)``, where ``where`` is ``path:lineno`` for error
-    messages.  A non-ASCII byte raises ValueError at the line that holds it.
+    Yields ``(lineno, line)``; a reader reports a bad line as
+    ``path:lineno: ...``.  A non-ASCII byte raises ValueError at the line
+    that holds it.
     """
     # surrogateescape keeps each undecodable byte on its own line, as U+DC80..U+DCFF
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
-            where = f"{path}:{lineno}"
             if not raw.isascii():
                 byte = next(ord(c) - 0xDC00 for c in raw if not c.isascii())
-                raise ValueError(f"{where}: non-ASCII byte {byte:#04x}")
+                raise ValueError(f"{path}:{lineno}: non-ASCII byte {byte:#04x}")
             line = raw.strip()
             if line and not line.startswith("#"):
-                yield where, line
+                yield lineno, line
 
 
-def read_bits(token: str, where: str) -> str:
+def read_bits(token: str) -> str:
     """A binary string read from a file, ``-`` standing for the empty string."""
-    sigma = "" if token == "-" else token
-    try:
-        return check_bits(sigma)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    return check_bits("" if token == "-" else token)
 
 
-def read_rational(token: str, where: str) -> tuple[int, int]:
+def read_rational(token: str) -> tuple[int, int]:
     """``[+-]digits`` or ``[+-]digits/digits`` read from a file, as (numerator,
     denominator); the denominator must be nonzero.
 
@@ -69,7 +65,7 @@ def read_rational(token: str, where: str) -> tuple[int, int]:
         num, den = int(num), int(den or 1)
         if den:
             return num, den
-    raise ValueError(f"{where}: bad rational {excerpt(token)}")
+    raise ValueError(f"bad rational {excerpt(token)}")
 
 
 def num_of(sigma: str) -> int:

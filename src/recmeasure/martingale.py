@@ -1,4 +1,4 @@
-"""Exact martingales on binary strings: evaluation, validation, combinators.
+"""Exact martingales on binary strings: evaluation, validation and the savings transform.
 
 A martingale assigns a nonnegative exact capital to every binary string up
 to a finite depth, subject to the fairness equation
@@ -7,12 +7,10 @@ to a finite depth, subject to the fairness equation
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from numbers import Rational
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .codec import check_bits, excerpt, num_of, read_bits, read_lines, read_rational, str_of
 
@@ -185,38 +183,6 @@ class StrategyMartingale(Martingale):
         return (win, lose) if predicted == 0 else (lose, win)
 
 
-class SumMartingale(Martingale):
-    """Exact weighted sum of martingales of a common depth."""
-
-    def __init__(self, members: Sequence[tuple[Fraction, Martingale]]):
-        if not members:
-            raise ValueError("empty sum")
-        depths = {m.depth for _, m in members}
-        if len(depths) != 1:
-            raise ValueError(f"mismatched depths: {sorted(depths)}")
-        for w, _ in members:
-            if _rational("weight", w) < 0:
-                raise ValueError("weights must be nonnegative")
-        self.members = [(Fraction(w), m) for w, m in members]
-        self.depth = depths.pop()
-        self.start = self._sum(tuple(m.start for _, m in self.members))
-
-    def _sum(self, states: tuple[State, ...]) -> State:
-        """The state holding the weighted sum of the members' states, in lowest terms."""
-        dens = [w.denominator * s[1] for (w, _), s in zip(self.members, states)]
-        den = lcm(*dens)
-        num = sum(
-            w.numerator * s[0] * (den // d)
-            for (w, _), s, d in zip(self.members, states, dens)
-        )
-        g = gcd(num, den)
-        return num // g, den // g, states
-
-    def _step(self, sigma: str, state: State) -> tuple[State, State]:
-        zero, one = zip(*(m._step(sigma, s) for (_, m), s in zip(self.members, state[2])))
-        return self._sum(zero), self._sum(one)
-
-
 def _bank(saved: int, active: int, den: int) -> tuple[int, int]:
     """Move whole units from the working part active/den to the bank until it is below the cap."""
     if active < SAVINGS_DROP_BOUND * den:
@@ -267,30 +233,6 @@ class SavingsMartingale(Martingale):
     def _step(self, sigma: str, state: State) -> tuple[State, State]:
         return savings_step(state, self.base._step(sigma, state[3]))
 
-    def saved_active(self, sigma: str) -> tuple[int, Fraction]:
-        """Banked units and working part at ``sigma``."""
-        num, den, saved, _ = deque(self._states(sigma), maxlen=1)[0]
-        return saved, Fraction(num - saved * den, den)
-
-
-@dataclass(frozen=True)
-class BoundFunction:
-    """Strictly increasing checkpoints f(0)..f(k)."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("bound function must be strictly increasing")
-        if self.values and self.values[0] < 0:
-            raise ValueError("bound function values must be natural numbers")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __call__(self, n: int) -> int:
-        return self.values[n]
-
 
 def validate(m: Martingale, depth: int) -> list[str]:
     """All fairness/nonnegativity violations of ``m`` up to ``depth``.
@@ -322,34 +264,22 @@ def capital_trace(m: Martingale, path: str) -> list[Fraction]:
     return [Fraction(num, den) for num, den in m.walk(path)]
 
 
-def success_at(m: Martingale, path: str, threshold: Fraction) -> Optional[int]:
-    """Least prefix length at which capital reaches the threshold, if any."""
-    for n, capital in enumerate(capital_trace(m, path)):
-        if capital >= threshold:
-            return n
-    return None
-
-
-def schnorr_hits(m: Martingale, f: BoundFunction, path: str) -> list[int]:
-    """All n with capital strictly above n at the checkpoint f(n)+1."""
-    ends = [x + 1 for x in f.values if x < len(path)]
-    trace = m.walk(path[: ends[-1]]) if ends else []
-    return [n for n, end in enumerate(ends) if trace[end][0] > n * trace[end][1]]
-
-
 def load_table(path) -> TableMartingale:
     """Read a martingale table file: one ``<bits|-> <value>`` per line, where a
     value is ``[+-]digits`` or ``[+-]digits/digits`` (see :func:`codec.read_rational`)."""
     ranked: dict[int, tuple[int, int]] = {}
-    for where, line in read_lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{where}: expected '<string> <value>'")
-        sigma = read_bits(parts[0], where)
-        rank = (1 << len(sigma)) - 1 + int(sigma or "0", 2)  # num_of(sigma), checked once
-        value = read_rational(parts[1], where)
-        if rank in ranked:
-            raise ValueError(f"{where}: duplicate entry for {excerpt(parts[0])}")
+    for lineno, line in read_lines(path):
+        try:
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError("expected '<string> <value>'")
+            sigma = read_bits(parts[0])
+            rank = (1 << len(sigma)) - 1 + int(sigma or "0", 2)  # num_of(sigma), checked once
+            value = read_rational(parts[1])
+            if rank in ranked:
+                raise ValueError(f"duplicate entry for {excerpt(parts[0])}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         ranked[rank] = value
     if not ranked:
         raise ValueError(f"{path}: empty martingale table")
@@ -358,12 +288,3 @@ def load_table(path) -> TableMartingale:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
-
-def dump_table(m: Martingale, depth: int | None = None) -> str:
-    depth = m.depth if depth is None else depth
-    lines = [
-        f"{sigma or '-'} {Fraction(*value)}"
-        for length, level in enumerate(m.levels(depth))
-        for sigma, value in zip(all_strings(length), level)
-    ]
-    return "\n".join(lines) + "\n"

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import codec
-from .codec import Family, check_bits, excerpt, logpart_size, read_bits, read_lines, s_index
+from .codec import check_bits, excerpt, logpart_size, read_bits, read_lines, s_index
 
 
 def _minimal(words: Iterable[str]) -> list[str]:
@@ -99,36 +98,6 @@ def engulf_transform(
     return f_j, bound
 
 
-@dataclass(frozen=True)
-class AvoidanceAssignment:
-    """Forbidden word per interval index; indices must be distinct."""
-
-    pairs: tuple[tuple[int, str], ...]
-
-    def __post_init__(self) -> None:
-        indices = [m for m, _ in self.pairs]
-        if len(indices) != len(set(indices)):
-            raise ValueError("interval indices must be distinct")
-        for _, sigma in self.pairs:
-            check_bits(sigma)
-
-
-def avoidance_measure(assignment: AvoidanceAssignment, family: Family) -> Fraction:
-    """Measure of the sequences avoiding every forbidden word on its interval.
-
-    Distinct intervals are disjoint, so the factors multiply exactly.
-    """
-    result = Fraction(1)
-    for m, sigma in assignment.pairs:
-        size = codec.interval(family, m).size
-        if len(sigma) != size:
-            raise ValueError(
-                f"word for interval {m} has length {len(sigma)}, expected {size}"
-            )
-        result *= 1 - Fraction(1, 2**size)
-    return result
-
-
 def _check_term_comparison(e: int, n: int, size: int) -> None:
     # integerized form of the comparison chain bounding the n-th factor
     if n >= e + 2 and 2**size > 64 * (e + 1) ** 2 * (n + 1):
@@ -168,28 +137,37 @@ def divergence_partial(e: int, n_max: int) -> Fraction:
 
 def load_clopen(path) -> ClopenSet:
     """Read a clopen set file: one generator per line, ``-`` for the root."""
-    return normalize([read_bits(line, where) for where, line in read_lines(path)])
+    words = []
+    for lineno, line in read_lines(path):
+        try:
+            words.append(read_bits(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return normalize(words)
 
 
 def load_kurtz(path) -> KurtzTest:
     """Read a Kurtz test file: ``[level i]`` sections followed by generators."""
     levels: list[set[str]] = []
     current: set[str] | None = None
-    for where, line in read_lines(path):
-        if line.startswith("[") and line.endswith("]"):
-            header = line[1:-1].split()
-            if len(header) != 2 or header[0] != "level":
-                raise ValueError(f"{where}: bad section {excerpt(line)}")
-            try:
-                index = int(header[1])
-            except ValueError as exc:
-                raise ValueError(f"{where}: bad level index") from exc
-            if index != len(levels):
-                raise ValueError(f"{where}: expected level {len(levels)}, got {index}")
-            current = set()
-            levels.append(current)
-            continue
-        if current is None:
-            raise ValueError(f"{where}: generator before any [level i]")
-        current.add(read_bits(line, where))
+    for lineno, line in read_lines(path):
+        try:
+            if line.startswith("[") and line.endswith("]"):
+                header = line[1:-1].split()
+                if len(header) != 2 or header[0] != "level":
+                    raise ValueError(f"bad section {excerpt(line)}")
+                try:
+                    index = int(header[1])
+                except ValueError:
+                    raise ValueError("bad level index") from None
+                if index != len(levels):
+                    raise ValueError(f"expected level {len(levels)}, got {index}")
+                current = set()
+                levels.append(current)
+                continue
+            if current is None:
+                raise ValueError("generator before any [level i]")
+            current.add(read_bits(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return KurtzTest(tuple(normalize(level) for level in levels))

@@ -64,9 +64,9 @@ def io_match_report(p: Parametrization, target: str) -> list[tuple[bool, int]]:
 def load_parametrization(path) -> Parametrization:
     """Read a table file: one row per line over the alphabet {0,1,2}."""
     rows = []
-    for where, line in read_lines(path):
+    for lineno, line in read_lines(path):
         if line.strip("012"):
-            raise ValueError(f"{where}: row must be over 0/1/2")
+            raise ValueError(f"{path}:{lineno}: row must be over 0/1/2")
         rows.append(line)
     if not rows:
         raise ValueError(f"{path}: empty parametrization")

@@ -11,13 +11,7 @@ import sys
 from fractions import Fraction
 
 from recmeasure.codec import budget_sequence, logpart_size, num_of, s_index, str_of
-from recmeasure.martingale import (
-    SavingsMartingale,
-    SumMartingale,
-    all_strings,
-    capital_trace,
-    validate,
-)
+from recmeasure.martingale import SavingsMartingale, all_strings, capital_trace, validate
 from recmeasure.oracle import (
     averaged_martingale,
     constant_functional,
@@ -29,11 +23,8 @@ from recmeasure.oracle import (
 from recmeasure.param import consistent, halve_transform, hits, make_parametrization
 from recmeasure.strategies import (
     adversary_sequence,
-    capital_lower_bound,
     coincidence_martingale,
-    killing_budget,
     pair_doubling_martingale,
-    prune_largest,
 )
 
 from conftest import random_strategy_martingale, strings_up_to
@@ -52,12 +43,6 @@ def test_criterion_01_averaging_everywhere():
     constructed = {
         "coincidence": coincidence_martingale("0110100110"),
         "pair-doubling": pair_doubling_martingale(10),
-        "sum": SumMartingale(
-            [
-                (Fraction(1, 3), coincidence_martingale("0" * 10)),
-                (Fraction(2, 3), coincidence_martingale("1" * 10)),
-            ]
-        ),
         "savings": SavingsMartingale(random_strategy_martingale(rng, 10)),
         "averaged(prefix)": averaged_martingale(
             prefix_coincidence_functional(4), 10
@@ -93,10 +78,12 @@ def test_criterion_03_coincidence_capital():
         c = sum(a == b for a, b in zip(path, ref))
         w = 12 - c
         assert m.value(path) == Fraction(3, 2) ** c * Fraction(1, 2) ** w
-    assert capital_lower_bound(2, 3) == Fraction(9, 8)
+    assert coincidence_martingale("000").value("001") == Fraction(9, 8)
     for n in range(3):
-        correct, total = 3 ** (n + 1) - 3**n, 3 ** (n + 1)
-        assert capital_lower_bound(correct, total) == Fraction(9, 8) ** (3**n)
+        # right on all but the first 3^n of 3^(n+1) bets: 3^c/2^t = (9/8)^(3^n)
+        wrong, total = 3**n, 3 ** (n + 1)
+        m = coincidence_martingale("0" * total)
+        assert m.value("1" * wrong + "0" * (total - wrong)) == Fraction(9, 8) ** (3**n)
     for n in range(7):
         assert Fraction(3 ** (3 ** (n + 1) - 3**n), 2 ** (3 ** (n + 1))) == Fraction(
             9, 8
@@ -196,7 +183,8 @@ def test_criterion_09_budget():
         assert partial < Fraction(1, 2)
         assert Fraction(1, 2) - partial <= Fraction(3, 4) ** i * Fraction(1, 2)
     for size in range(1, 17):
-        assert killing_budget(size, 64).survivors >= 1
+        # words of the interval left after the requirements and the short descriptions
+        assert 2**size * (1 - partial) - (2 ** (size - 1) - 1) >= 1
     report(9, "powers of two, partial sums below 1/2, survivors for sizes 1..16")
 
 
@@ -208,7 +196,7 @@ def test_criterion_10_pruning():
             for _ in range(rng.randint(1, 20))
         ]
         b = rng.randint(1, len(values))
-        remaining = prune_largest(values, b)
+        remaining = sorted(values)[: len(values) - b]
         if remaining:
             assert max(remaining) * b <= sum(values)
     report(10, "100 randomized pruning instances within the sum/b bound")

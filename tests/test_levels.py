@@ -16,16 +16,13 @@ from hypothesis import strategies as st
 
 from recmeasure.martingale import (
     SAVINGS_DROP_BOUND,
-    BoundFunction,
     Martingale,
     SavingsMartingale,
     StrategyMartingale,
-    SumMartingale,
     TableMartingale,
     all_strings,
     capital_trace,
     load_table,
-    schnorr_hits,
     validate,
 )
 from recmeasure.nulltests import normalize
@@ -59,8 +56,6 @@ def reference_value(m: Martingale, sigma: str) -> Fraction:
     """Capital at sigma on Fractions, from the definition of each kind and not its step."""
     if isinstance(m, RefTable):
         return m.reference[sigma]
-    if isinstance(m, SumMartingale):
-        return sum((w * reference_value(x, sigma) for w, x in m.members), Fraction(0))
     if isinstance(m, SavingsMartingale):
         saved, active = reference_saved_active(m, sigma)
         return saved + active
@@ -162,7 +157,6 @@ def all_kinds(rng) -> list[Martingale]:
         thirds_strategy(DEPTH, "011010"),
         SavingsMartingale(thirds_strategy(DEPTH, "110100")),
         SavingsMartingale(coincidence_martingale("010011")),
-        SumMartingale([(Fraction(1, 3), randoms[0]), (Fraction(2, 7), thirds)]),
     ]
 
 
@@ -183,16 +177,12 @@ class TestLevels:
                 walked = [Fraction(v, den) for v, den in m.walk(leaf)]
                 assert walked == [reference_value(m, leaf[:n]) for n in range(DEPTH + 1)]
 
-    def test_value_and_saved_active_equal_reference(self, rng):
+    def test_value_equals_reference(self, rng):
         kinds = all_kinds(rng)
-        assert {type(m) for m in kinds} == {
-            StrategyMartingale, RefTable, SavingsMartingale, SumMartingale
-        }
+        assert {type(m) for m in kinds} == {StrategyMartingale, RefTable, SavingsMartingale}
         for m in kinds:
             for sigma in strings_up_to(DEPTH):
                 assert m.value(sigma) == reference_value(m, sigma), type(m).__name__
-                if isinstance(m, SavingsMartingale):
-                    assert m.saved_active(sigma) == reference_saved_active(m, sigma)
 
     def test_depth_checks(self, rng):
         m = random_strategy_martingale(rng, 3)
@@ -274,30 +264,6 @@ class TestValidateMatchesReference:
         assert proc.stdout.decode() == "depth: 14\nvalid: false\n" + "".join(
             f"violation: {v}\n" for v in violations
         )
-
-
-def per_checkpoint_hits(m: Martingale, f: BoundFunction, path: str) -> list[int]:
-    """schnorr_hits by its definition, one reference value per checkpoint."""
-    hits = []
-    for n in range(len(f)):
-        if f(n) + 1 > len(path):
-            break
-        if reference_value(m, path[: f(n) + 1]) > n:
-            hits.append(n)
-    return hits
-
-
-class TestSinglePathQueries:
-    def test_schnorr_hits_and_saved_active_match_definitions(self, rng):
-        for _ in range(5):
-            m = random_strategy_martingale(rng, 10)
-            s = SavingsMartingale(m)
-            for _ in range(20):
-                f = BoundFunction(tuple(sorted(rng.sample(range(12), rng.randint(0, 6)))))
-                path = "".join(rng.choice("01") for _ in range(rng.randint(0, 10)))
-                assert schnorr_hits(m, f, path) == per_checkpoint_hits(m, f, path)
-                assert schnorr_hits(s, f, path) == per_checkpoint_hits(s, f, path)
-                assert s.saved_active(path) == reference_saved_active(s, path)
 
 
 class TestOracleEngine:
@@ -508,10 +474,10 @@ class TestDeepQueries:
     def test_cold_deep_savings(self):
         ref = "01" * 1000
         s = SavingsMartingale(coincidence_martingale(ref))
-        got = s.value(ref)
-        assert got == Fraction(*s.walk(ref)[-1])
-        saved, active = s.saved_active(ref)
-        assert got == saved + active and 1 <= active < 2
+        trace = capital_trace(s, ref)
+        assert s.value(ref) == trace[-1]
+        # every bet along its reference wins, so the base and its savings only rise
+        assert all(a < b for a, b in zip(trace, trace[1:]))
 
     def test_rule_calls_per_step(self):
         calls = []
@@ -531,22 +497,6 @@ class TestDeepQueries:
         calls.clear()
         m.value(path)
         assert len(calls) == len(path)
-
-    def test_rule_calls_per_checkpoint_walk(self):
-        calls = []
-        ref = "0110" * 50
-
-        def rule(sigma: str):
-            calls.append(sigma)
-            return Fraction(1, 2), int(ref[len(sigma)])
-
-        m = StrategyMartingale(len(ref), Fraction(1), rule)
-        f = BoundFunction(tuple(range(0, 300, 7)))
-        path = "01" * 100
-        hits = schnorr_hits(m, f, path)
-        # one rule call per step of the longest checkpoint in the path, f(28)+1 = 197
-        assert len(calls) == 197
-        assert hits == per_checkpoint_hits(m, f, path)
         calls.clear()
-        SavingsMartingale(m).saved_active(path)
+        SavingsMartingale(m).walk(path)
         assert len(calls) == len(path)

@@ -1,6 +1,6 @@
 import itertools
-import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from recmeasure.codec import Family, interval
 from recmeasure.nulltests import (
-    AvoidanceAssignment,
     ClopenSet,
     KurtzTest,
-    avoidance_measure,
     divergence_partial,
     dnr_cover_product,
     engulf_transform,
@@ -216,15 +214,19 @@ class TestEngulf:
 
 
 class TestAvoidance:
-    def brute_force(self, assignment: AvoidanceAssignment, family: Family) -> Fraction:
+    """Avoiding one word on each of distinct intervals has measure
+    prod (1 - 2^-|I_m|): distinct intervals are disjoint, so the factors
+    multiply.  Each case lists (interval index m, forbidden word on I_m)."""
+
+    def brute_force(self, pairs, family: Family) -> Fraction:
         coords = []
-        for m, _ in assignment.pairs:
+        for m, _ in pairs:
             coords.extend(interval(family, m).members())
         total = 0
         for bits in itertools.product("01", repeat=len(coords)):
             word = dict(zip(coords, bits))
             ok = True
-            for m, sigma in assignment.pairs:
+            for m, sigma in pairs:
                 iv = interval(family, m)
                 taken = "".join(word[x] for x in iv.members())
                 if taken == sigma:
@@ -234,19 +236,22 @@ class TestAvoidance:
                 total += 1
         return Fraction(total, 2 ** len(coords))
 
+    def product(self, pairs, family: Family) -> Fraction:
+        return prod(1 - Fraction(1, 2 ** interval(family, m).size) for m, _ in pairs)
+
     def test_single_interval_of_size_two(self):
-        a = AvoidanceAssignment(((0, "01"),))
-        assert avoidance_measure(a, Family.LOGPART) == Fraction(3, 4)
-        assert self.brute_force(a, Family.LOGPART) == Fraction(3, 4)
+        pairs = ((0, "01"),)
+        assert self.product(pairs, Family.LOGPART) == Fraction(3, 4)
+        assert self.brute_force(pairs, Family.LOGPART) == Fraction(3, 4)
 
     def test_empty_assignment(self):
-        assert avoidance_measure(AvoidanceAssignment(()), Family.LOGPART) == 1
+        assert self.product((), Family.LOGPART) == self.brute_force((), Family.LOGPART) == 1
 
     def test_two_intervals(self):
         # LOGPART sizes: |I_0| = 2, |I_2| = 3
-        a = AvoidanceAssignment(((0, "11"), (2, "010")))
-        assert avoidance_measure(a, Family.LOGPART) == Fraction(21, 32)
-        assert self.brute_force(a, Family.LOGPART) == Fraction(21, 32)
+        pairs = ((0, "11"), (2, "010"))
+        assert self.product(pairs, Family.LOGPART) == Fraction(21, 32)
+        assert self.brute_force(pairs, Family.LOGPART) == Fraction(21, 32)
 
     def test_matches_brute_force_randomized(self, rng):
         for _ in range(10):
@@ -261,18 +266,9 @@ class TestAvoidance:
                 pairs.append(
                     (m, "".join(rng.choice("01") for _ in range(size)))
                 )
-            a = AvoidanceAssignment(tuple(pairs))
-            assert avoidance_measure(a, Family.LOGPART) == self.brute_force(
-                a, Family.LOGPART
+            assert self.product(pairs, Family.LOGPART) == self.brute_force(
+                pairs, Family.LOGPART
             )
-
-    def test_duplicate_interval_rejected(self):
-        with pytest.raises(ValueError):
-            AvoidanceAssignment(((1, "00"), (1, "11")))
-
-    def test_wrong_word_length_rejected(self):
-        with pytest.raises(ValueError):
-            avoidance_measure(AvoidanceAssignment(((0, "0"),)), Family.LOGPART)
 
 
 class TestDnrCover:

@@ -1,19 +1,15 @@
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from recmeasure.codec import Family, interval
+from recmeasure.codec import Family, budget_sequence, interval
 from recmeasure.martingale import all_strings, capital_trace, validate
 from recmeasure.strategies import (
     adversary_sequence,
-    capital_lower_bound,
     coincidence_martingale,
-    killing_budget,
     pair_doubling_martingale,
-    prune_largest,
 )
 
 from conftest import random_strategy_martingale
@@ -56,16 +52,15 @@ class TestCoincidence:
 
 
 class TestCapitalLowerBound:
+    """Half-stake betting that is right c times out of t has capital 3^c/2^t."""
+
     def test_known_instances(self):
-        assert capital_lower_bound(2, 3) == Fraction(9, 8)
-        assert capital_lower_bound(6, 9) == Fraction(729, 512) == Fraction(9, 8) ** 3
+        assert coincidence_martingale("000").value("001") == Fraction(9, 8)
+        m = coincidence_martingale("0" * 9)
+        assert m.value("001001001") == Fraction(729, 512) == Fraction(9, 8) ** 3
 
     def test_no_bets(self):
-        assert capital_lower_bound(0, 0) == 1
-
-    def test_rejects_correct_above_total(self):
-        with pytest.raises(ValueError):
-            capital_lower_bound(3, 2)
+        assert coincidence_martingale("").value("") == 1
 
 
 class TestPairDoubling:
@@ -127,15 +122,13 @@ class TestAdversary:
 
 
 class TestPruneLargest:
+    """Removing the b largest of nonnegative values leaves each survivor <= sum/b."""
+
     def test_example(self):
         values = [Fraction(4), Fraction(3), Fraction(2), Fraction(1)]
-        remaining = prune_largest(values, 2)
-        assert remaining == [Fraction(2), Fraction(1)]
+        remaining = sorted(values)[:2]
+        assert remaining == [Fraction(1), Fraction(2)]
         assert max(remaining) <= sum(values) / 2
-
-    def test_ties_drop_earliest(self):
-        remaining = prune_largest([Fraction(1)] * 4, 1)
-        assert remaining == [Fraction(1)] * 3
 
     @given(
         st.lists(
@@ -145,33 +138,30 @@ class TestPruneLargest:
     )
     def test_survivors_bounded(self, values, data):
         b = data.draw(st.integers(1, len(values)))
-        remaining = prune_largest(values, b)
-        assert len(remaining) == len(values) - b
+        remaining = sorted(values)[: len(values) - b]
         if remaining:
             assert max(remaining) * b <= sum(values)
 
-    def test_b_out_of_range(self):
-        with pytest.raises(ValueError):
-            prune_largest([Fraction(1)], 2)
-        with pytest.raises(ValueError):
-            prune_largest([Fraction(1)], 0)
+
+def survivors(size: int, k_max: int) -> Fraction:
+    """Words of the given length left after the requirements r_0..r_k_max kill
+    2^size * sum (i+1) r_i of them and short descriptions 2^(size-1) - 1 more."""
+    requirement_kills = 2**size * budget_sequence(k_max).weighted_partial_sum()
+    return 2**size - requirement_kills - (2 ** (size - 1) - 1)
 
 
 class TestKillingBudget:
     def test_moderate_interval(self):
-        kb = killing_budget(4, 8)
-        assert kb.survivors > 1
+        assert survivors(4, 8) > 1
 
     def test_smallest_interval(self):
-        kb = killing_budget(1, 0)
-        assert kb.complexity_kills == 0
-        assert kb.survivors >= 1
+        # r_0 = 1/4 kills half a word of two, and 2^0 - 1 = 0 short descriptions
+        assert survivors(1, 0) == Fraction(3, 2)
 
     def test_requirement_fraction_below_half(self):
         for k_max in range(65):
-            kb = killing_budget(6, k_max)
-            assert kb.requirement_kills / 2**6 < Fraction(1, 2)
+            assert budget_sequence(k_max).weighted_partial_sum() < Fraction(1, 2)
 
     def test_at_least_one_survivor_for_all_sizes(self):
         for size in range(1, 17):
-            assert killing_budget(size, 64).survivors >= 1
+            assert survivors(size, 64) >= 1
