@@ -10,18 +10,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .codec import check_bits, excerpt, num_of, read_bits, read_lines, read_rational, str_of
+from .codec import check_bits, excerpt, read_bits, read_lines, read_rational, str_of
 
 # Capital banked by the savings transform in units of 1; the working part is
 # kept strictly below this cap, so capital along a path never drops by more
 # than SAVINGS_DROP_BOUND below any earlier value.
 SAVINGS_DROP_BOUND = 2
-
-# The exact values of all strings of one length, in rank order, each as
-# (numerator, positive denominator), the form ``walk`` gives.
-Level = list[tuple[int, int]]
 
 # A martingale's evaluation state at one string; its first two entries are
 # the exact capital there as numerator and (positive) denominator.
@@ -38,7 +34,9 @@ class Martingale:
 
     A subclass gives the state at the empty string as ``start`` and the
     states of ``sigma+"0"`` and ``sigma+"1"`` from the state at ``sigma`` as
-    ``_step``; every evaluation is derived from these two.
+    ``_step``; every evaluation is derived from these two: ``walk`` and
+    ``value`` along one path, ``tabulate`` as a :class:`TableMartingale`,
+    the one form that holds many values at once.
     """
 
     depth: int
@@ -64,41 +62,31 @@ class Martingale:
         """Exact capital at ``sigma``."""
         return Fraction(*self.walk(sigma)[-1])
 
-    def levels(self, depth: int) -> list[Level]:
-        """Exact values of every string of length <= depth, one level per length.
-
-        Level n lists the 2^n strings of length n in rank order (see
-        :func:`codec.num_of`), so the children of entry i are entries 2i and
-        2i+1 of level n+1.
-        """
+    def tabulate(self, depth: int) -> TableMartingale:
+        """The exact values of every string of length <= depth as a table,
+        stepped breadth-first once per node, each node's (num, den) at its rank
+        (see :func:`codec.num_of`), so the children of rank r are 2r+1 and 2r+2."""
         self._check_depth(depth)
-        states = [self.start]
-        out = []
-        for length in range(depth + 1):
-            if length:
-                states = [
-                    child
-                    for sigma, state in zip(all_strings(length - 1), states)
-                    for child in self._step(sigma, state)
-                ]
-            out.append([state[:2] for state in states])
-        return out
+        states, level = [self.start], [self.start]
+        for length in range(depth):
+            level = [
+                child
+                for sigma, state in zip(all_strings(length), level)
+                for child in self._step(sigma, state)
+            ]
+            states += level
+        return TableMartingale(depth, [s[0] for s in states], [s[1] for s in states])
 
-    def _check_query(self, sigma: str) -> str:
+    def _check_query(self, sigma: str) -> None:
         check_bits(sigma)
         if len(sigma) > self.depth:
-            raise ValueError(
-                f"query {excerpt(sigma)} exceeds martingale depth {self.depth}"
-            )
-        return sigma
+            raise ValueError(f"query {excerpt(sigma)} exceeds martingale depth {self.depth}")
 
     def _check_depth(self, depth: int) -> None:
         if depth < 0:
             raise ValueError("depth must be a natural number")
         if depth > self.depth:
-            raise ValueError(
-                f"requested depth {depth} exceeds martingale depth {self.depth}"
-            )
+            raise ValueError(f"requested depth {depth} exceeds martingale depth {self.depth}")
 
 
 def _rational(what: str, x) -> Rational:
@@ -111,31 +99,28 @@ def _rational(what: str, x) -> Rational:
 class TableMartingale(Martingale):
     """Martingale given by an explicit table on all strings up to depth: the
     value at the string of rank r (see :func:`codec.num_of`) is ``nums[r] /
-    dens[r]``, ``dens[r] > 0``.  The state at sigma carries its rank r, so a
-    step reads ranks 2r+1 and 2r+2."""
+    dens[r]``, two ints with ``dens[r] > 0``, for r < 2^(depth+1) - 1.  The
+    state at sigma carries its rank r, so a step reads ranks 2r+1 and 2r+2.
+    Callers file their values by rank and pass the two arrays."""
 
-    def __init__(self, depth: int, table: dict[str, Fraction]):
-        values = {num_of(s): _rational("table value", v) for s, v in table.items()}
-        self._file(depth, {r: (v.numerator, v.denominator) for r, v in values.items()})
-
-    @classmethod
-    def from_ranks(cls, depth: int, ranked: dict[int, tuple[int, int]]) -> TableMartingale:
-        """The table with ``ranked[r]`` = (numerator, positive denominator) at rank r."""
-        m = cls.__new__(cls)
-        m._file(depth, ranked)
-        return m
-
-    def _file(self, depth: int, ranked: dict[int, tuple[int, int]]) -> None:
+    def __init__(self, depth: int, nums: Sequence[int], dens: Sequence[int]):
         if depth < 0:
             raise ValueError("depth must be a natural number")
+        self.depth, self.nums, self.dens = depth, tuple(nums), tuple(dens)
+        if not len(self.nums) == len(self.dens) == (2 << depth) - 1:
+            raise ValueError(f"a table of depth {depth} takes {(2 << depth) - 1} values")
+        if not {*map(type, self.nums), *map(type, self.dens)} <= {int}:
+            bad = next(x for x in self.nums + self.dens if type(x) is not int)
+            raise ValueError(f"table entry {bad!r} is not an int")
+        if min(self.dens) <= 0:
+            raise ValueError(f"table denominator {min(self.dens)} is not positive")
+        self.start = self.nums[0], self.dens[0], 0
+
+    def tabulate(self, depth: int) -> TableMartingale:
+        """This table cut to strings of length <= depth, with no step."""
+        self._check_depth(depth)
         size = (2 << depth) - 1
-        try:
-            # stops at the least missing rank, which is at most len(ranked)
-            pairs = [ranked[r] for r in range(size)]
-        except KeyError as exc:
-            raise ValueError(f"table is missing the string {str_of(exc.args[0])!r}") from None
-        self.nums, self.dens = zip(*pairs)
-        self.depth, self.start = depth, (self.nums[0], self.dens[0], 0)
+        return TableMartingale(depth, self.nums[:size], self.dens[:size])
 
     @property
     def table(self) -> dict[str, Fraction]:
@@ -234,29 +219,31 @@ class SavingsMartingale(Martingale):
         return savings_step(state, self.base._step(sigma, state[3]))
 
 
-def validate(m: Martingale, depth: int) -> list[str]:
-    """All fairness/nonnegativity violations of ``m`` up to ``depth``.
+def violation(rank: int, value: tuple[int, int], zero=None, one=None) -> Optional[str]:
+    """What ``validate`` reports at the string of rank ``rank`` with capital ``value``
+    = (num, positive den), or None: alone, a negative value; with the values ``zero``
+    and ``one`` at its two extensions, unfair averaging.  Builds sigma only to report."""
+    n, d = value
+    if zero is None:
+        return f"negative value {Fraction(n, d)} at {str_of(rank) or 'λ'!r}" if n < 0 else None
+    (n0, d0), (n1, d1) = zero, one
+    if 2 * n * d0 * d1 == (n0 * d1 + n1 * d0) * d:
+        return None
+    return (f"averaging violated at {str_of(rank) or 'λ'!r}: "
+            f"2*{Fraction(n, d)} != {Fraction(n0, d0)} + {Fraction(n1, d1)}")
 
-    Empty result iff ``m`` is a martingale to that depth.
-    """
-    levels = m.levels(depth)
-    violations = []
-    for length, level in enumerate(levels):
-        children = levels[length + 1] if length < depth else None
-        for i, (n, d) in enumerate(level):
-            if n < 0:
-                sigma = str_of((1 << length) - 1 + i)
-                violations.append(f"negative value {Fraction(n, d)} at {sigma or 'λ'!r}")
-            if children is None:
-                continue
-            (n0, d0), (n1, d1) = children[2 * i], children[2 * i + 1]
-            if 2 * n * d0 * d1 != (n0 * d1 + n1 * d0) * d:
-                sigma = str_of((1 << length) - 1 + i)
-                violations.append(
-                    f"averaging violated at {sigma or 'λ'!r}: "
-                    f"2*{Fraction(n, d)} != {Fraction(n0, d0)} + {Fraction(n1, d1)}"
-                )
-    return violations
+
+def validate(m: Martingale, depth: int) -> list[str]:
+    """All fairness/nonnegativity violations of ``m`` up to ``depth`` in rank order,
+    read off ``m.tabulate(depth)``; empty iff ``m`` is a martingale to that depth."""
+    table = m.tabulate(depth)
+    pairs = list(zip(table.nums, table.dens))
+    found = []
+    # ranks below len(pairs) // 2 have children 2r+1 and 2r+2; the rest are leaves
+    for r, (value, zero, one) in enumerate(zip(pairs, pairs[1::2], pairs[2::2])):
+        found += violation(r, value), violation(r, value, zero, one)
+    found += (violation(r, pairs[r]) for r in range(len(pairs) // 2, len(pairs)))
+    return [v for v in found if v]
 
 
 def capital_trace(m: Martingale, path: str) -> list[Fraction]:
@@ -283,8 +270,10 @@ def load_table(path) -> TableMartingale:
         ranked[rank] = value
     if not ranked:
         raise ValueError(f"{path}: empty martingale table")
+    depth = len(str_of(max(ranked)))
     try:
-        return TableMartingale.from_ranks(len(str_of(max(ranked))), ranked)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
+        # stops at the least missing rank, which is at most len(ranked)
+        nums, dens = zip(*[ranked[r] for r in range((2 << depth) - 1)])
+    except KeyError as exc:
+        raise ValueError(f"{path}: table is missing the string {str_of(exc.args[0])!r}") from None
+    return TableMartingale(depth, nums, dens)

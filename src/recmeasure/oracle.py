@@ -12,7 +12,7 @@ from math import gcd, lcm
 from typing import Callable, Iterator, Optional
 
 from .codec import check_bits, num_of
-from .martingale import Martingale, State, TableMartingale, all_strings
+from .martingale import Martingale, State, TableMartingale, all_strings, violation
 from .martingale import savings_start, savings_step
 from .nulltests import ClopenSet, normalize
 from .strategies import coincidence_step
@@ -133,14 +133,15 @@ def averaged_martingale(
                 one[s1] = one.get(s1, 0) + count
         return zero, one
 
-    ranked = {}
+    nums, dens = [None] * ((2 << depth) - 1), [None] * ((2 << depth) - 1)
     for sigma, groups in _tree(f, uses, 1, node):
         den = lcm(*(s[1] for s in groups))
         num = sum(count * s[0] * (den // s[1]) for s, count in groups.items())
         den <<= uses[len(sigma)]
         g = gcd(num, den)
-        ranked[num_of(sigma)] = num // g, den // g
-    return TableMartingale.from_ranks(depth, ranked)
+        r = num_of(sigma)
+        nums[r], dens[r] = num // g, den // g
+    return TableMartingale(depth, nums, dens)
 
 
 @dataclass(frozen=True)
@@ -186,25 +187,22 @@ def functional_validate(f: TTFunctional, depth: int, guard: int = DEFAULT_GUARD)
     violations: list[str] = []
 
     def node(sigma, groups, freshes):
-        zero, one = {}, {}
+        zero, one, r = {}, {}, num_of(sigma)
         for state, tau in groups.items():
-            (num, den), at = state[:2], sigma or "λ"
             for fresh in freshes:
                 s0, s1 = f.step(sigma, state, fresh)
-                (n0, d0), (n1, d1) = s0[:2], s1[:2]
-                if 2 * num * d0 * d1 != (n0 * d1 + n1 * d0) * den:
-                    violations.append(
-                        f"oracle {tau + fresh or '-'}: averaging violated at {at!r}: "
-                        f"2*{Fraction(num, den)} != {Fraction(n0, d0)} + {Fraction(n1, d1)}"
-                    )
+                unfair = violation(r, state[:2], s0[:2], s1[:2])
+                if unfair:
+                    violations.append(f"oracle {tau + fresh or '-'}: {unfair}")
                 zero.setdefault(s0, tau + fresh)
                 one.setdefault(s1, tau + fresh)
         return zero, one
 
     for sigma, groups in _tree(f, uses, "", node):
+        r = num_of(sigma)
         violations += [
-            f"oracle {tau or '-'}: negative value {Fraction(*state[:2])} at {sigma or 'λ'!r}"
+            f"oracle {tau or '-'}: {negative}"
             for state, tau in groups.items()
-            if state[0] < 0
+            if (negative := violation(r, state[:2]))
         ]
     return violations

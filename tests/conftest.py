@@ -6,7 +6,7 @@ from typing import Sequence
 
 import pytest
 
-from recmeasure.martingale import StrategyMartingale, TableMartingale, all_strings
+from recmeasure.martingale import StrategyMartingale, all_strings
 
 
 def strings_up_to(depth: int):
@@ -50,8 +50,11 @@ def table_file_text(
     return "\n".join(lines) + "\n", table
 
 
-def as_table(m, depth: int) -> TableMartingale:
-    return TableMartingale(depth, {s: m.value(s) for s in strings_up_to(depth)})
+def rank_arrays(depth: int, table: dict[str, Fraction]) -> tuple[list[int], list[int]]:
+    """The numerators and denominators of ``table[sigma]`` for every sigma up to
+    ``depth`` in rank order, as ``TableMartingale(depth, nums, dens)`` takes them."""
+    values = [table[sigma] for sigma in strings_up_to(depth)]
+    return [v.numerator for v in values], [v.denominator for v in values]
 
 
 @pytest.fixture

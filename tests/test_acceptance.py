@@ -28,7 +28,7 @@ from recmeasure.strategies import (
 )
 
 from conftest import random_strategy_martingale, strings_up_to
-from test_nulltests import TestAvoidance
+from test_nulltests import check_avoidance_randomized
 from test_oracle import brute_force_average
 
 RNG_SEED = 715188
@@ -168,9 +168,7 @@ def test_criterion_08_dnr_cover():
     for e in range(9):
         for n in range(e + 2, 1001):
             assert 2 ** logpart_size(s_index(e, n)) <= 64 * (e + 1) ** 2 * (n + 1)
-    avoidance = TestAvoidance()
-    rng = random.Random(RNG_SEED)
-    avoidance.test_matches_brute_force_randomized(rng)
+    check_avoidance_randomized(random.Random(RNG_SEED))
     report(8, "products decreasing, termwise comparison to n=1000, brute force match")
 
 

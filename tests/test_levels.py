@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recmeasure.codec import num_of
 from recmeasure.martingale import (
     SAVINGS_DROP_BOUND,
     Martingale,
@@ -37,7 +38,7 @@ from recmeasure.oracle import (
 )
 from recmeasure.strategies import adversary_sequence, coincidence_martingale, coincidence_step
 
-from conftest import random_strategy_martingale, strings_up_to, table_file_text
+from conftest import random_strategy_martingale, rank_arrays, strings_up_to, table_file_text
 from test_cli import subprocess_env
 from test_oracle import brute_force_average
 
@@ -48,7 +49,7 @@ class RefTable(TableMartingale):
     """A table martingale that keeps the dict it was built from, as the reference."""
 
     def __init__(self, depth: int, table: dict[str, Fraction]):
-        super().__init__(depth, table)
+        super().__init__(depth, *rank_arrays(depth, table))
         self.reference = dict(table)
 
 
@@ -79,12 +80,13 @@ def reference_saved_active(m: SavingsMartingale, sigma: str) -> tuple[int, Fract
     return saved, active
 
 
-def values_by_level(m: Martingale, depth: int) -> list[list[Fraction]]:
-    return [[reference_value(m, s) for s in all_strings(n)] for n in range(depth + 1)]
+def reference_values(m: Martingale, depth: int) -> list[Fraction]:
+    """The reference capital of every string up to depth, in rank order."""
+    return [reference_value(m, s) for s in strings_up_to(depth)]
 
 
-def as_fractions(levels) -> list[list[Fraction]]:
-    return [[Fraction(*value) for value in level] for level in levels]
+def as_fractions(table: TableMartingale) -> list[Fraction]:
+    return [Fraction(n, d) for n, d in zip(table.nums, table.dens)]
 
 
 def thirds_table(rng, depth: int) -> RefTable:
@@ -163,13 +165,18 @@ def all_kinds(rng) -> list[Martingale]:
 class TestLevels:
     def test_levels_equal_values(self, rng):
         for m in all_kinds(rng):
-            levels = m.levels(DEPTH)
-            assert as_fractions(levels) == values_by_level(m, DEPTH), type(m).__name__
-            assert [len(level) for level in levels] == [1 << n for n in range(DEPTH + 1)]
+            t = m.tabulate(DEPTH)
+            assert type(t) is TableMartingale and t.depth == DEPTH
+            assert as_fractions(t) == reference_values(m, DEPTH), type(m).__name__
+            # each entry is the node's own (num, den), as walk gives it
+            pairs = list(zip(t.nums, t.dens))
+            for leaf in all_strings(DEPTH):
+                assert [pairs[num_of(leaf[:n])] for n in range(DEPTH + 1)] == m.walk(leaf)
 
     def test_shallower_levels_are_a_prefix(self, rng):
         m = SavingsMartingale(thirds_table(rng, DEPTH))
-        assert as_fractions(m.levels(3)) == as_fractions(m.levels(DEPTH))[:4]
+        shallow, deep = m.tabulate(3), m.tabulate(DEPTH)
+        assert shallow.nums == deep.nums[:15] and shallow.dens == deep.dens[:15]
 
     def test_walk_equals_values(self, rng):
         for m in all_kinds(rng):
@@ -185,19 +192,19 @@ class TestLevels:
                 assert m.value(sigma) == reference_value(m, sigma), type(m).__name__
 
     def test_depth_checks(self, rng):
-        m = random_strategy_martingale(rng, 3)
-        with pytest.raises(ValueError):
-            m.levels(4)
-        with pytest.raises(ValueError):
-            m.levels(-1)
-        with pytest.raises(ValueError):
-            m.walk("0000")
+        for m in (random_strategy_martingale(rng, 3), thirds_table(rng, 3)):
+            with pytest.raises(ValueError):
+                m.tabulate(4)
+            with pytest.raises(ValueError):
+                m.tabulate(-1)
+            with pytest.raises(ValueError):
+                m.walk("0000")
 
     def test_bad_stakes_rejected(self):
         for stake, bit in ((Fraction(3, 2), 0), (0.5, 0), (Fraction(1, 2), 2)):
             m = StrategyMartingale(2, Fraction(1), lambda s, r=(stake, bit): r)
             with pytest.raises(ValueError):
-                m.levels(2)
+                m.tabulate(2)
             with pytest.raises(ValueError):
                 m.value("01")
 
@@ -208,7 +215,7 @@ class TestValidateMatchesReference:
         table["1"], table["0"] = -table["1"], table["0"] + 2 * table["1"]
         table["0110"] += Fraction(1, 3)
         table["11111"] = Fraction(-7, 3)
-        m = TableMartingale(5, table)
+        m = TableMartingale(5, *rank_arrays(5, table))
         got = validate(m, 5)
         assert got == reference_validate(table.__getitem__, 5)
         assert any("negative" in v for v in got)
@@ -217,7 +224,7 @@ class TestValidateMatchesReference:
     def test_shallower_depth(self, rng):
         table = thirds_table(rng, 5).reference
         table["00"] += 1
-        m = TableMartingale(5, table)
+        m = TableMartingale(5, *rank_arrays(5, table))
         for depth in range(6):
             assert validate(m, depth) == reference_validate(table.__getitem__, depth)
 
@@ -241,10 +248,42 @@ class TestValidateMatchesReference:
         assert m.depth == depth and m.table == table
         for sigma in strings_up_to(depth):
             assert m.value(sigma) == table[sigma]
-        by_level = [[table[sigma] for sigma in all_strings(n)] for n in range(depth + 1)]
-        assert as_fractions(m.levels(depth)) == by_level
+        assert as_fractions(m.tabulate(depth)) == [table[s] for s in strings_up_to(depth)]
         for d in range(depth + 1):
             assert validate(m, d) == reference_validate(table.__getitem__, d)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32), depth=st.integers(0, 6))
+    def test_table_slice_equals_stepping(self, tmp_path_factory, seed, depth):
+        # a table's tabulate slices its arrays; the base method steps node by node
+        text, _ = table_file_text(random.Random(seed), depth)
+        path = tmp_path_factory.mktemp("table") / "table.txt"
+        path.write_text(text)
+        m = load_table(path)
+        for d in range(depth + 1):
+            sliced, stepped = m.tabulate(d), Martingale.tabulate(m, d)
+            assert sliced.depth == stepped.depth == d
+            assert sliced.nums == stepped.nums and sliced.dens == stepped.dens
+
+    def test_validate_steps_no_table(self, rng, monkeypatch):
+        steps = []
+        step = TableMartingale._step
+
+        def counted(self, sigma, state):
+            steps.append(sigma)
+            return step(self, sigma, state)
+
+        monkeypatch.setattr(TableMartingale, "_step", counted)
+        planted = thirds_table(rng, DEPTH).reference
+        planted["0110"] += 1
+        averaged = averaged_martingale(savings_functional(oracle_coincidence_functional()), 5)
+        for m, depth in ((thirds_table(rng, DEPTH), DEPTH), (averaged, 5)):
+            assert validate(m, depth) == []
+        assert validate(TableMartingale(DEPTH, *rank_arrays(DEPTH, planted)), DEPTH)
+        assert steps == []
+        # the counter does see the stepping path
+        Martingale.tabulate(averaged, 5)
+        assert len(steps) == (1 << 5) - 1
 
     def test_coprime_depth_14_table_is_fast(self, tmp_path):
         # pairwise distinct 6-digit denominators: a common denominator per
@@ -339,20 +378,21 @@ class TestOracleEngine:
             "savings-coincidence": lambda tau: SavingsMartingale(coincidence_martingale(tau)),
         }
         for name, make in per_oracle.items():
-            # per level, the sum over all oracles as integers over one denominator
-            totals = [([0] * (1 << n), 1) for n in range(depth + 1)]
+            # at each rank, the sum over all oracles as integers over one denominator
+            sums, common = [0] * ((2 << depth) - 1), 1
             for tau in all_strings(depth):
-                for n, level in enumerate(make(tau).levels(depth)):
-                    sums, common = totals[n]
-                    scale = lcm(common, *(den for _, den in level))
-                    totals[n] = (
-                        [x * (scale // common) + y * (scale // den)
-                         for x, (y, den) in zip(sums, level)],
-                        scale,
-                    )
-            expected = [[Fraction(x, den << depth) for x in sums] for sums, den in totals]
-            n = averaged_martingale(BUILTIN_KERNELS[name](), depth)
-            assert as_fractions(n.levels(depth)) == expected, name
+                t = make(tau).tabulate(depth)
+                scale = lcm(common, *t.dens)
+                sums = [
+                    x * (scale // common) + y * (scale // den)
+                    for x, y, den in zip(sums, t.nums, t.dens)
+                ]
+                common = scale
+            expected = [Fraction(x, common << depth) for x in sums]
+            n = averaged_martingale(BUILTIN_KERNELS[name](), depth).tabulate(depth)
+            # each N(sigma) is kept in lowest terms
+            pairs = [(e.numerator, e.denominator) for e in expected]
+            assert list(zip(n.nums, n.dens)) == pairs, name
 
     def test_exceed_rejects_negative_level(self):
         with pytest.raises(ValueError):

@@ -14,11 +14,11 @@ from recmeasure.martingale import (
 )
 from recmeasure.strategies import coincidence_martingale, pair_doubling_martingale
 
-from conftest import random_strategy_martingale, strings_up_to
+from conftest import random_strategy_martingale, rank_arrays, strings_up_to
 
 
 def constant_one(depth: int) -> TableMartingale:
-    return TableMartingale(depth, {s: Fraction(1) for s in strings_up_to(depth)})
+    return TableMartingale(depth, [1] * ((2 << depth) - 1), [1] * ((2 << depth) - 1))
 
 
 class TestValidate:
@@ -26,17 +26,13 @@ class TestValidate:
         assert validate(constant_one(3), 3) == []
 
     def test_averaging_violation_is_located(self):
-        m = TableMartingale(
-            1, {"": Fraction(1), "0": Fraction(1), "1": Fraction(2)}
-        )
+        m = TableMartingale(1, [1, 1, 2], [1, 1, 1])
         report = validate(m, 1)
         assert len(report) == 1
         assert "averaging" in report[0]
 
     def test_negative_value_reported(self):
-        m = TableMartingale(
-            1, {"": Fraction(0), "0": Fraction(-1), "1": Fraction(1)}
-        )
+        m = TableMartingale(1, [0, -1, 1], [1, 1, 1])
         assert any("negative" in v for v in validate(m, 1))
 
     def test_coincidence_strategy_valid_to_depth_8(self):
@@ -47,12 +43,21 @@ class TestValidate:
             validate(constant_one(2), 3)
 
     def test_float_table_value_rejected(self):
-        with pytest.raises(ValueError, match="table value 0.5 is not an exact rational"):
-            TableMartingale(1, {"": Fraction(1), "0": 0.5, "1": Fraction(3, 2)})
+        with pytest.raises(ValueError, match="table entry 0.5 is not an int"):
+            TableMartingale(1, [1, 0.5, 3], [1, 1, 2])
+        with pytest.raises(ValueError, match=r"table entry Fraction\(1, 2\) is not an int"):
+            TableMartingale(1, [1, 1, 3], [1, Fraction(1, 2), 2])
+
+    def test_nonpositive_denominator_rejected(self):
+        with pytest.raises(ValueError, match="table denominator 0 is not positive"):
+            TableMartingale(1, [1, 1, 3], [1, 0, 2])
+        with pytest.raises(ValueError, match="table denominator -1 is not positive"):
+            TableMartingale(1, [1, -1, 3], [1, -1, 2])
 
     def test_incomplete_table_rejected(self):
-        with pytest.raises(ValueError):
-            TableMartingale(1, {"": Fraction(1), "0": Fraction(1)})
+        for nums, dens in (([1, 1], [1, 1]), ([1, 1, 1], [1, 1]), ([1, 1, 1, 1], [1, 1, 1, 1])):
+            with pytest.raises(ValueError, match="a table of depth 1 takes 3 values"):
+                TableMartingale(1, nums, dens)
 
 
 class TestEvaluate:
@@ -102,7 +107,8 @@ class TestCombineSum:
     def test_opposite_coincidences(self):
         a = coincidence_martingale("0000")
         b = coincidence_martingale("1111")
-        s = TableMartingale(4, {x: (a.value(x) + b.value(x)) / 2 for x in strings_up_to(4)})
+        halves = {x: (a.value(x) + b.value(x)) / 2 for x in strings_up_to(4)}
+        s = TableMartingale(4, *rank_arrays(4, halves))
         # the first-bit bets cancel, deeper ones do not
         assert s.value("0") == s.value("1") == 1
         assert s.value("00") == Fraction(5, 4)
@@ -117,7 +123,7 @@ class TestCombineSum:
         table = {
             sigma: sum(w * m.value(sigma) for w, m in members) for sigma in strings_up_to(depth)
         }
-        assert validate(TableMartingale(depth, table), depth) == []
+        assert validate(TableMartingale(depth, *rank_arrays(depth, table)), depth) == []
 
 
 class TestSavings:
@@ -151,7 +157,7 @@ class TestSavings:
                     running_max = max(running_max, value)
 
     def test_rejects_large_initial_capital(self):
-        big = TableMartingale(0, {"": Fraction(3)})
+        big = TableMartingale(0, [3], [1])
         with pytest.raises(ValueError):
             SavingsMartingale(big)
 

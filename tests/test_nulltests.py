@@ -213,62 +213,54 @@ class TestEngulf:
             engulf_transform(rows, 0, 0)
 
 
+def avoidance_brute_force(pairs) -> Fraction:
+    """The measure of avoiding each (m, word on the LOGPART interval I_m) of
+    ``pairs``, counted over every assignment to the intervals' coordinates."""
+    intervals = [(interval(Family.LOGPART, m).members(), sigma) for m, sigma in pairs]
+    coords = [x for members, _ in intervals for x in members]
+    total = 0
+    for bits in itertools.product("01", repeat=len(coords)):
+        word = dict(zip(coords, bits))
+        total += all("".join(word[x] for x in members) != sigma for members, sigma in intervals)
+    return Fraction(total, 2 ** len(coords))
+
+
+def avoidance_product(pairs) -> Fraction:
+    return prod(1 - Fraction(1, 2 ** interval(Family.LOGPART, m).size) for m, _ in pairs)
+
+
+def check_avoidance_randomized(rng) -> None:
+    """The product equals brute force on 10 random sets of distinct LOGPART
+    intervals with at most 16 coordinates in all."""
+    for _ in range(10):
+        pairs, covered = [], 0
+        for m in rng.sample(range(6), rng.randint(1, 3)):
+            size = interval(Family.LOGPART, m).size
+            if covered + size <= 16:
+                covered += size
+                pairs.append((m, "".join(rng.choice("01") for _ in range(size))))
+        assert avoidance_product(pairs) == avoidance_brute_force(pairs)
+
+
 class TestAvoidance:
     """Avoiding one word on each of distinct intervals has measure
     prod (1 - 2^-|I_m|): distinct intervals are disjoint, so the factors
     multiply.  Each case lists (interval index m, forbidden word on I_m)."""
 
-    def brute_force(self, pairs, family: Family) -> Fraction:
-        coords = []
-        for m, _ in pairs:
-            coords.extend(interval(family, m).members())
-        total = 0
-        for bits in itertools.product("01", repeat=len(coords)):
-            word = dict(zip(coords, bits))
-            ok = True
-            for m, sigma in pairs:
-                iv = interval(family, m)
-                taken = "".join(word[x] for x in iv.members())
-                if taken == sigma:
-                    ok = False
-                    break
-            if ok:
-                total += 1
-        return Fraction(total, 2 ** len(coords))
-
-    def product(self, pairs, family: Family) -> Fraction:
-        return prod(1 - Fraction(1, 2 ** interval(family, m).size) for m, _ in pairs)
-
     def test_single_interval_of_size_two(self):
         pairs = ((0, "01"),)
-        assert self.product(pairs, Family.LOGPART) == Fraction(3, 4)
-        assert self.brute_force(pairs, Family.LOGPART) == Fraction(3, 4)
+        assert avoidance_product(pairs) == avoidance_brute_force(pairs) == Fraction(3, 4)
 
     def test_empty_assignment(self):
-        assert self.product((), Family.LOGPART) == self.brute_force((), Family.LOGPART) == 1
+        assert avoidance_product(()) == avoidance_brute_force(()) == 1
 
     def test_two_intervals(self):
         # LOGPART sizes: |I_0| = 2, |I_2| = 3
         pairs = ((0, "11"), (2, "010"))
-        assert self.product(pairs, Family.LOGPART) == Fraction(21, 32)
-        assert self.brute_force(pairs, Family.LOGPART) == Fraction(21, 32)
+        assert avoidance_product(pairs) == avoidance_brute_force(pairs) == Fraction(21, 32)
 
     def test_matches_brute_force_randomized(self, rng):
-        for _ in range(10):
-            indices = rng.sample(range(6), rng.randint(1, 3))
-            pairs = []
-            covered = 0
-            for m in indices:
-                size = interval(Family.LOGPART, m).size
-                if covered + size > 16:
-                    continue
-                covered += size
-                pairs.append(
-                    (m, "".join(rng.choice("01") for _ in range(size)))
-                )
-            assert self.product(pairs, Family.LOGPART) == self.brute_force(
-                pairs, Family.LOGPART
-            )
+        check_avoidance_randomized(rng)
 
 
 class TestDnrCover:
