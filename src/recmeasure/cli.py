@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 # Each handler imports the modules it runs, so a process loads only those.
@@ -26,18 +25,26 @@ DEFAULT_GUARD = 20
 
 
 def fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+    """``true``/``false`` for a bool, ``str`` for an int and ``num/den`` for a Fraction."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    if isinstance(value, int):
+        return str(value)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def integer(text: str) -> int:
+    """argparse type for ``--parity``: ``[+-]digits``, at most codec.MAX_DIGITS digits."""
+    if not codec.is_integer(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {codec.excerpt(text)}")
+    return int(text)
 
 
 def natural(text: str) -> int:
     """argparse type for counts, depths and levels: 0, 1, 2, ..."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a natural number, got {value}")
+    value = int(text) if codec.is_integer(text) else None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a natural number, got {codec.excerpt(text)}")
     return value
 
 
@@ -47,8 +54,10 @@ class IntervalOption(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
         if values[0] not in FAMILIES:
             raise argparse.ArgumentError(self, f"invalid family {values[0]!r}, not in {FAMILIES}")
-        if not values[1].isdecimal():
-            raise argparse.ArgumentError(self, f"must be a natural number, got {values[1]!r}")
+        try:
+            natural(values[1])
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentError(self, str(exc)) from None
         setattr(namespace, self.dest, values)
 
 
@@ -155,6 +164,8 @@ def cmd_adversary(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_average(args) -> tuple[list[Result], list[str]]:
+    from fractions import Fraction
+
     from . import martingale, oracle
     f = _functional(args)
     n = oracle.averaged_martingale(f, args.depth, guard=args.guard)
@@ -168,6 +179,8 @@ def cmd_average(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_exceed(args) -> tuple[list[Result], list[str]]:
+    from fractions import Fraction
+
     from . import oracle, strategies
     f = _functional(args)
     if args.path is not None:
@@ -276,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", nargs=2, type=natural, metavar=("E", "N"))
     p.add_argument("--interval", nargs=2, metavar=("FAMILY", "M"), action=IntervalOption,
                    help="FAMILY in {logpart,pow2,pow3}")
-    p.add_argument("--parity", type=int, metavar="X")
+    p.add_argument("--parity", type=integer, metavar="X")
     p.set_defaults(handler=cmd_codec)
 
     p = sub.add_parser("budget", help="dyadic budget sequence")
@@ -356,11 +369,12 @@ def render(report: dict, as_json: bool) -> str:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact answers can pass the interpreter's 4300-digit int-to-str cap;
+        # numeric options keep their own limit (codec.MAX_DIGITS)
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):
-        # exact answers can pass the interpreter's 4300-digit int-to-str cap
-        sys.set_int_max_str_digits(0)
     inputs = {
         k: v
         for k, v in sorted(vars(args).items())

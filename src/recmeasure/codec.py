@@ -6,10 +6,14 @@ Binary strings are plain ``str`` objects over the characters ``"0"`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# CPython's default int-from-str limit: ``int`` is quadratic in the digit count
+MAX_DIGITS = 4300
 
 
 def excerpt(token: str) -> str:
@@ -47,21 +51,27 @@ def read_bits(token: str) -> str:
     return check_bits("" if token == "-" else token)
 
 
+def is_digits(token: str) -> bool:
+    """True iff ``token`` is 1 to MAX_DIGITS ASCII decimal digits."""
+    return token.isascii() and token.isdecimal() and len(token) <= MAX_DIGITS
+
+
+def is_integer(token: str) -> bool:
+    """True iff ``token`` is ``[+-]digits`` with at most MAX_DIGITS digits."""
+    return is_digits(token[1:] if token[:1] in ("+", "-") else token)
+
+
 def read_rational(token: str) -> tuple[int, int]:
     """``[+-]digits`` or ``[+-]digits/digits`` read from a file, as (numerator,
     denominator); the denominator must be nonzero.
 
     Only this grammar is read: an exponent such as ``1e400000000`` would ask
-    for a number of that many digits.  Each part has at most 4300 digits,
-    CPython's default int-from-str limit, which the CLI lifts for output:
-    ``int`` is quadratic in the digit count.
+    for a number of that many digits.  Each part has at most MAX_DIGITS
+    digits, the limit the CLI's numeric options share; the CLI lifts
+    CPython's own limit for output.
     """
     num, slash, den = token.partition("/")
-    digits = num[1:] if num[:1] in ("+", "-") else num
-    if (
-        token.isascii() and digits.isdecimal() and (den.isdecimal() or not slash)
-        and len(digits) <= 4300 and len(den) <= 4300
-    ):
+    if is_integer(num) and (is_digits(den) or not slash):
         num, den = int(num), int(den or 1)
         if den:
             return num, den
@@ -110,16 +120,15 @@ class Family(Enum):
     POW3 = "pow3"
 
 
-@dataclass(frozen=True)
 class IndexInterval:
-    family: Family
-    index: int
-    lo: int
-    hi: int
+    """The integers lo..hi, the ``index``-th interval of ``family``."""
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
+    __slots__ = ("family", "index", "lo", "hi")
+
+    def __init__(self, family: Family, index: int, lo: int, hi: int) -> None:
+        if lo > hi:
             raise ValueError("empty interval")
+        self.family, self.index, self.lo, self.hi = family, index, lo, hi
 
     @property
     def size(self) -> int:
@@ -164,7 +173,6 @@ def interval(family: Family, m: int) -> IndexInterval:
     raise ValueError(f"unknown family: {family!r}")
 
 
-@dataclass(frozen=True)
 class BudgetSequence:
     """Prefix r_0..r_k of the dyadic budget with its exact remainder.
 
@@ -172,15 +180,19 @@ class BudgetSequence:
     sum_i (i+1)*terms[i] + remainder == 1/2 exactly, with remainder > 0.
     """
 
-    terms: tuple[Fraction, ...]
-    remainder: Fraction
+    __slots__ = ("terms", "remainder")
+
+    def __init__(self, terms: tuple[Fraction, ...], remainder: Fraction) -> None:
+        self.terms, self.remainder = terms, remainder
 
     def weighted_partial_sum(self) -> Fraction:
+        from fractions import Fraction
         return sum(((i + 1) * r for i, r in enumerate(self.terms)), Fraction(0))
 
 
 def _largest_dyadic_below(x: Fraction) -> Fraction:
     """Largest power of two that is <= x (x must be positive)."""
+    from fractions import Fraction
     if x <= 0:
         raise ValueError("x must be positive")
     e = x.numerator.bit_length() - x.denominator.bit_length()
@@ -197,6 +209,7 @@ def budget_sequence(k: int) -> BudgetSequence:
     r_i is the largest power of two with (i+1)*r_i <= remainder_i/2, which
     forces remainder_k <= (3/4)^k / 2 while keeping the remainder positive.
     """
+    from fractions import Fraction
     if k < 0:
         raise ValueError("k must be a natural number")
     remainder = Fraction(1, 2)

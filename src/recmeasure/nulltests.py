@@ -6,7 +6,6 @@ measure is the exact dyadic sum over the generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -31,11 +30,17 @@ def _is_antichain(strings: frozenset[str]) -> bool:
     return len(_minimal(strings)) == len(strings)
 
 
-@dataclass(frozen=True)
 class ClopenSet:
-    generators: frozenset[str]
+    """The clopen set generated by an antichain of binary strings."""
+
+    __slots__ = ("generators",)
+
+    def __init__(self, generators: frozenset[str]) -> None:
+        self.generators = generators
+        self.__post_init__()  # a method of its own, so bench/tracing.py can time it
 
     def __post_init__(self) -> None:
+        """Reject generators that are not binary strings or not an antichain."""
         for g in self.generators:
             check_bits(g)
         if not _is_antichain(self.generators):
@@ -55,11 +60,13 @@ def normalize(strings: Iterable[str]) -> ClopenSet:
     return ClopenSet(frozenset(_minimal(check_bits(s) for s in strings)))
 
 
-@dataclass(frozen=True)
 class KurtzTest:
     """Levels G_0..G_k with measure(G_i) <= 2^-i."""
 
-    levels: tuple[ClopenSet, ...]
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: tuple[ClopenSet, ...]) -> None:
+        self.levels = levels
 
 
 def kurtz_validate(test: KurtzTest) -> list[str]:

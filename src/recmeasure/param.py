@@ -8,7 +8,6 @@ words.  The halve transform folds predictions about a doubled sequence
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .codec import check_bits, read_lines
@@ -16,17 +15,18 @@ from .codec import check_bits, read_lines
 Row = str
 
 
-@dataclass(frozen=True)
 class Parametrization:
-    rows: tuple[Row, ...]
-    depth: int
+    """Rows over ``012``, each of length ``depth``."""
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
+    __slots__ = ("rows", "depth")
+
+    def __init__(self, rows: tuple[Row, ...], depth: int) -> None:
+        for row in rows:
             if not isinstance(row, str) or row.strip("012"):
                 raise ValueError(f"row symbols must be in {{0,1,2}}: {row!r}")
-            if len(row) != self.depth:
+            if len(row) != depth:
                 raise ValueError("all rows must have the common depth")
+        self.rows, self.depth = rows, depth
 
 
 def make_parametrization(rows: Sequence[Row]) -> Parametrization:

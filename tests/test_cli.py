@@ -10,6 +10,7 @@ import pytest
 
 from recmeasure import cli
 from recmeasure.cli import main
+from recmeasure.codec import excerpt
 from recmeasure.nulltests import dnr_cover_product
 
 from conftest import table_file_text
@@ -256,6 +257,46 @@ class TestNegativeOptions:
         assert f"argument {option}: {message}" in captured.err
 
 
+NINES = "9" * 5000
+
+
+class TestLongNumericOptions:
+    """A numeric option has at most 4300 digits, and a bad one is echoed by 40 of them."""
+
+    @pytest.mark.parametrize(
+        "option, argv, message",
+        [
+            ("--str", ["codec", "--str", NINES], "must be a natural number, got "),
+            ("--pair", ["codec", "--pair", "3", NINES], "must be a natural number, got "),
+            ("--s", ["codec", "--s", NINES, "4"], "must be a natural number, got "),
+            ("--interval", ["codec", "--interval", "logpart", NINES],
+             "must be a natural number, got "),
+            ("--parity", ["codec", "--parity", NINES], "invalid int value: "),
+            ("--k", ["budget", "--k", NINES], "must be a natural number, got "),
+            ("--depth", ["average", "--kernel", "coincidence", "--depth", NINES],
+             "must be a natural number, got "),
+        ],
+        ids=["codec-str", "codec-pair", "codec-s", "codec-interval-m", "codec-parity",
+             "budget-k", "depth"],
+    )
+    def test_rejected_with_a_short_message(self, capsys, int_digit_limit, option, argv,
+                                           message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: {message}{excerpt(NINES)}\n" in captured.err
+        assert "9" * 41 not in captured.err
+
+    def test_limit_is_4300_digits(self, capsys, int_digit_limit):
+        assert run_cli(capsys, "codec", "--parity", "-" + "9" * 4300) == (
+            0, f"parity(-{'9' * 4300}): 1\n")
+        with pytest.raises(SystemExit):
+            main(["codec", "--parity", "9" * 4301])
+        assert "invalid int value: '9999" in capsys.readouterr().err
+
+
 class TestCodecCommand:
     def test_num(self, capsys):
         code, out = run_cli(capsys, "codec", "--num", "10")
@@ -421,7 +462,8 @@ FOOTPRINT = """
 import sys
 from recmeasure import cli
 code = cli.main(sys.argv[1:])
-print(*sorted(m for m in sys.modules if m == "json" or m.startswith("recmeasure")),
+watched = {"json", "dataclasses", "inspect", "fractions", "decimal"}
+print(*sorted(m for m in sys.modules if m in watched or m.startswith("recmeasure")),
       file=sys.stderr)
 sys.exit(code)
 """
@@ -453,6 +495,36 @@ class TestImports:
         assert "recmeasure.martingale" in modules
         assert not modules & {"recmeasure.oracle", "recmeasure.nulltests",
                               "recmeasure.strategies", "recmeasure.param"}
+
+    def test_param_loads_no_dataclasses_or_fractions(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        path.write_text("0121\n2100\n")
+        modules, _ = loaded_modules(["param", str(path), "--target", "0110"])
+        assert "recmeasure.param" in modules
+        assert not modules & {"dataclasses", "inspect", "fractions", "decimal"}
+
+    @pytest.mark.parametrize(
+        "command", ["budget", "validate", "trace", "adversary", "measure", "engulf", "dnr-cover"])
+    def test_loads_no_dataclasses(self, tmp_path, good_table_file, clopen_file, command):
+        row = tmp_path / "row.txt"
+        row.write_text("[level 0]\n0\n[level 1]\n00\n[level 2]\n000\n")
+        argv = {
+            "budget": ["budget", "--k", "3"],
+            "validate": ["validate", good_table_file],
+            "trace": ["trace", good_table_file, "--path", "0"],
+            "adversary": ["adversary", good_table_file],
+            "measure": ["measure", clopen_file],
+            "engulf": ["engulf", str(row), "--j", "1"],
+            "dnr-cover": ["dnr-cover", "--e", "1", "--n", "4"],
+        }[command]
+        modules, _ = loaded_modules(argv)
+        assert not modules & {"dataclasses", "inspect"}
+
+    def test_average_loads_dataclasses(self):
+        # oracle.TTFunctional stays a dataclass while bench/tracing.py calls
+        # dataclasses.replace on it; ROADMAP item 2 lifts that.
+        modules, _ = loaded_modules(["average", "--kernel", "coincidence", "--depth", "2"])
+        assert "dataclasses" in modules
 
     def test_json_loads_json(self):
         modules, out = loaded_modules(["--json", "codec", "--num", "-"])
@@ -496,6 +568,29 @@ class TestImports:
 
         assert cli.KERNELS == sorted(oracle.BUILTIN_KERNELS)
         assert cli.DEFAULT_GUARD == oracle.DEFAULT_GUARD
+
+
+class TestBenchTracer:
+    """bench/tracing.py still fits the classes and functions it wraps."""
+
+    def test_traced_runs_match_untraced(self, capsys, monkeypatch, clopen_file):
+        from recmeasure import nulltests
+
+        runs = [["measure", clopen_file], ["average", "--kernel", "coincidence", "--depth", "3"]]
+        untraced = [run_cli(capsys, *argv) for argv in runs]
+        monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+        import tracing
+
+        check = nulltests.ClopenSet.__post_init__
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            traced = [(cli.main(argv), capsys.readouterr().out) for argv in runs]
+        finally:
+            tracer.uninstall()
+        assert traced == untraced
+        assert "nulltests.antichain_check" in {span[0] for span in tracer.spans}
+        assert nulltests.ClopenSet.__post_init__ is check
 
 
 def run_subprocess(argv, hashseed):
