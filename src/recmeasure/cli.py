@@ -113,7 +113,7 @@ def cmd_codec(args) -> tuple[list[Result], list[str]]:
         family = codec.Family(args.interval[0])
         m = int(args.interval[1])
         iv = codec.interval(family, m)
-        results.append((f"interval({family.value},{m})", f"{iv.lo}..{iv.hi}"))
+        results.append((f"interval({family.value},{m})", f"{iv[0]}..{iv[-1]}"))
     if args.parity is not None:
         results.append((f"parity({args.parity})", fmt(codec.parity(args.parity))))
     if not results:
@@ -164,14 +164,12 @@ def cmd_adversary(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_average(args) -> tuple[list[Result], list[str]]:
-    from fractions import Fraction
-
     from . import martingale, oracle
     f = _functional(args)
     n = oracle.averaged_martingale(f, args.depth, guard=args.guard)
     results: list[Result] = [("kernel", f.name)]
     results += [
-        (f"N({_show(codec.str_of(r))})", fmt(Fraction(num, den)))
+        (f"N({_show(codec.str_of(r))})", f"{num}/{den}")
         for r, (num, den) in enumerate(zip(n.nums, n.dens))
     ]
     violations = martingale.validate(n, args.depth)
@@ -189,23 +187,21 @@ def cmd_exceed(args) -> tuple[list[Result], list[str]]:
         n_avg = oracle.averaged_martingale(f, args.depth, guard=args.guard)
         path = strategies.adversary_sequence(n_avg, args.depth)
     exceed = oracle.exceed_set(f, path, args.n, guard=args.guard)
-    bound = Fraction(2, 2**args.n)
+    mu, bound = exceed.measure(), Fraction(2, 2**args.n)
     results: list[Result] = [
         ("kernel", f.name),
         ("path", _show(path)),
         ("level", str(args.n)),
-        ("measure", fmt(exceed.measure)),
+        ("measure", fmt(mu)),
         ("bound", fmt(bound)),
     ]
     results += [
         (f"member_{i}", _show(g))
-        for i, g in enumerate(exceed.members.sorted_generators())
+        for i, g in enumerate(exceed.sorted_generators())
     ]
     violations = []
-    if exceed.measure > bound:
-        violations.append(
-            f"exceed-set measure {exceed.measure} above bound {bound}"
-        )
+    if mu > bound:
+        violations.append(f"exceed-set measure {mu} above bound {bound}")
     return results, violations
 
 
@@ -369,30 +365,35 @@ def render(report: dict, as_json: bool) -> str:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # exact answers can pass the interpreter's 4300-digit int-to-str cap;
-        # numeric options keep their own limit (codec.MAX_DIGITS)
+    # exact answers can pass the interpreter's 4300-digit int-to-str cap, so it is
+    # lifted for the call and put back; numeric options keep codec.MAX_DIGITS
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    inputs = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("handler", "json") and v is not None
-    }
     try:
-        results, violations = args.handler(args)
-    except (ValueError, OSError, KeyError, RuntimeError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    report = {
-        "command": args.command,
-        "inputs": {k: str(v) for k, v in inputs.items()},
-        "results": results,
-        "violations": violations,
-    }
-    sys.stdout.write(render(report, args.json))
-    return EXIT_VIOLATION if violations else EXIT_OK
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        inputs = {
+            k: v
+            for k, v in sorted(vars(args).items())
+            if k not in ("handler", "json") and v is not None
+        }
+        try:
+            results, violations = args.handler(args)
+        except (ValueError, OSError, KeyError, RuntimeError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        report = {
+            "command": args.command,
+            "inputs": {k: str(v) for k, v in inputs.items()},
+            "results": results,
+            "violations": violations,
+        }
+        sys.stdout.write(render(report, args.json))
+        return EXIT_VIOLATION if violations else EXIT_OK
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def console_main() -> None:

@@ -120,24 +120,6 @@ class Family(Enum):
     POW3 = "pow3"
 
 
-class IndexInterval:
-    """The integers lo..hi, the ``index``-th interval of ``family``."""
-
-    __slots__ = ("family", "index", "lo", "hi")
-
-    def __init__(self, family: Family, index: int, lo: int, hi: int) -> None:
-        if lo > hi:
-            raise ValueError("empty interval")
-        self.family, self.index, self.lo, self.hi = family, index, lo, hi
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
-
-    def members(self) -> range:
-        return range(self.lo, self.hi + 1)
-
-
 def logpart_size(m: int) -> int:
     """floor(2 + log2(m+1)), the size of the m-th LOGPART interval."""
     if m < 0:
@@ -155,21 +137,17 @@ def _logpart_lo(m: int) -> int:
     return 2 * m + (m + 1) * k - (1 << (k + 1)) + 2
 
 
-def interval(family: Family, m: int) -> IndexInterval:
-    """The m-th interval of the given family."""
+def interval(family: Family, m: int) -> range:
+    """The m-th interval of the given family, as the range of its integers."""
     if m < 0:
         raise ValueError("index must be a natural number")
     if family is Family.LOGPART:
         lo = _logpart_lo(m)
-        return IndexInterval(family, m, lo, lo + logpart_size(m) - 1)
+        return range(lo, lo + logpart_size(m))
     if family is Family.POW2:
-        if m == 0:
-            return IndexInterval(family, 0, 0, 1)
-        return IndexInterval(family, m, (1 << m) + 1, 1 << (m + 1))
+        return range(0, 2) if m == 0 else range((1 << m) + 1, (1 << (m + 1)) + 1)
     if family is Family.POW3:
-        if m == 0:
-            return IndexInterval(family, 0, 0, 2)
-        return IndexInterval(family, m, 3**m, 3 ** (m + 1) - 1)
+        return range(0, 3) if m == 0 else range(3**m, 3 ** (m + 1))
     raise ValueError(f"unknown family: {family!r}")
 
 

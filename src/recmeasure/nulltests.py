@@ -60,19 +60,10 @@ def normalize(strings: Iterable[str]) -> ClopenSet:
     return ClopenSet(frozenset(_minimal(check_bits(s) for s in strings)))
 
 
-class KurtzTest:
-    """Levels G_0..G_k with measure(G_i) <= 2^-i."""
-
-    __slots__ = ("levels",)
-
-    def __init__(self, levels: tuple[ClopenSet, ...]) -> None:
-        self.levels = levels
-
-
-def kurtz_validate(test: KurtzTest) -> list[str]:
-    """All levels whose measure exceeds the 2^-i bound."""
+def kurtz_validate(levels: Sequence[ClopenSet]) -> list[str]:
+    """All levels G_i of a Kurtz test whose measure exceeds the 2^-i bound."""
     violations = []
-    for i, level in enumerate(test.levels):
+    for i, level in enumerate(levels):
         mu = level.measure()
         if mu > Fraction(1, 2**i):
             violations.append(f"level {i} has measure {mu} > 1/{2 ** i}")
@@ -80,9 +71,11 @@ def kurtz_validate(test: KurtzTest) -> list[str]:
 
 
 def engulf_transform(
-    rows: Sequence[KurtzTest], j: int, i_max: int
+    rows: Sequence[Sequence[ClopenSet]], j: int, i_max: int
 ) -> tuple[ClopenSet, Fraction]:
     """Union of the shifted diagonal cells G_{i, i+j+1} with its measure bound.
+
+    Row i is a Kurtz test, its levels G_{i,0}, G_{i,1}, ...
 
     Returns (F_j, bound) where bound = (1 - 2^-(i_max+1)) * 2^-j and
     measure(F_j) <= bound <= 2^-j.
@@ -94,12 +87,12 @@ def engulf_transform(
     generators: set[str] = set()
     for i in range(i_max + 1):
         k = i + j + 1
-        if len(rows[i].levels) <= k:
+        if len(rows[i]) <= k:
             raise ValueError(f"row {i} is missing level {k}")
         bad = kurtz_validate(rows[i])
         if bad:
             raise ValueError(f"row {i} is not a Kurtz test: {bad[0]}")
-        generators |= rows[i].levels[k].generators
+        generators |= rows[i][k].generators
     f_j = normalize(generators)
     bound = (1 - Fraction(1, 2 ** (i_max + 1))) * Fraction(1, 2**j)
     return f_j, bound
@@ -153,8 +146,9 @@ def load_clopen(path) -> ClopenSet:
     return normalize(words)
 
 
-def load_kurtz(path) -> KurtzTest:
-    """Read a Kurtz test file: ``[level i]`` sections followed by generators."""
+def load_kurtz(path) -> tuple[ClopenSet, ...]:
+    """Read a Kurtz test file, ``[level i]`` sections followed by generators,
+    as its levels G_0..G_k."""
     levels: list[set[str]] = []
     current: set[str] | None = None
     for lineno, line in read_lines(path):
@@ -177,4 +171,4 @@ def load_kurtz(path) -> KurtzTest:
             current.add(read_bits(line))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return KurtzTest(tuple(normalize(level) for level in levels))
+    return tuple(normalize(level) for level in levels)

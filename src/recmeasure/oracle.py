@@ -7,7 +7,6 @@ each state reached at sigma once, however many oracle prefixes reach it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterator, Optional
 
@@ -144,16 +143,7 @@ def averaged_martingale(
     return TableMartingale(depth, nums, dens)
 
 
-@dataclass(frozen=True)
-class ExceedSet:
-    """Oracle words whose martingale ever exceeds 2^level + 1 along a path."""
-
-    level: int
-    members: ClopenSet
-    measure: Fraction
-
-
-def exceed_set(f: TTFunctional, path: str, n: int, guard: int = DEFAULT_GUARD) -> ExceedSet:
+def exceed_set(f: TTFunctional, path: str, n: int, guard: int = DEFAULT_GUARD) -> ClopenSet:
     """Clopen set of oracle words tau with max_{beta <= path} M^tau(beta) > 2^n + 1.
 
     A group of oracle prefixes tau[:use(i)] leaves at its first exceedance as
@@ -172,8 +162,7 @@ def exceed_set(f: TTFunctional, path: str, n: int, guard: int = DEFAULT_GUARD) -
                     child = f.step(path[:i], state, fresh)[path[i] == "1"]
                     grown.setdefault(child, []).extend(tau + fresh for tau in taus)
             groups = grown
-    members = normalize(hits)
-    return ExceedSet(n, members, members.measure())
+    return normalize(hits)
 
 
 def functional_validate(f: TTFunctional, depth: int, guard: int = DEFAULT_GUARD) -> list[str]:

@@ -16,23 +16,20 @@ Row = str
 
 
 class Parametrization:
-    """Rows over ``012``, each of length ``depth``."""
+    """Rows over ``012``, each of the first row's length ``depth``."""
 
     __slots__ = ("rows", "depth")
 
-    def __init__(self, rows: tuple[Row, ...], depth: int) -> None:
+    def __init__(self, rows: Sequence[Row]) -> None:
+        if not rows:
+            raise ValueError("need at least one row")
+        rows, depth = tuple(rows), len(rows[0])
         for row in rows:
             if not isinstance(row, str) or row.strip("012"):
                 raise ValueError(f"row symbols must be in {{0,1,2}}: {row!r}")
             if len(row) != depth:
                 raise ValueError("all rows must have the common depth")
         self.rows, self.depth = rows, depth
-
-
-def make_parametrization(rows: Sequence[Row]) -> Parametrization:
-    if not rows:
-        raise ValueError("need at least one row")
-    return Parametrization(tuple(rows), len(rows[0]))
 
 
 def consistent(row: Row, target: str) -> bool:
@@ -53,7 +50,7 @@ def halve_transform(p: Parametrization) -> Parametrization:
     if p.depth % 2:
         raise ValueError("depth must be even")
     folded = tuple("".join(map(min, row[::2], row[1::2])) for row in p.rows)
-    return Parametrization(folded, p.depth // 2)
+    return Parametrization(folded)
 
 
 def io_match_report(p: Parametrization, target: str) -> list[tuple[bool, int]]:
@@ -72,4 +69,4 @@ def load_parametrization(path) -> Parametrization:
         raise ValueError(f"{path}: empty parametrization")
     if len({len(r) for r in rows}) != 1:
         raise ValueError(f"{path}: rows have differing lengths")
-    return make_parametrization(rows)
+    return Parametrization(rows)

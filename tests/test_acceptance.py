@@ -20,7 +20,7 @@ from recmeasure.oracle import (
     prefix_coincidence_functional,
     savings_functional,
 )
-from recmeasure.param import consistent, halve_transform, hits, make_parametrization
+from recmeasure.param import Parametrization, consistent, halve_transform, hits
 from recmeasure.strategies import (
     adversary_sequence,
     coincidence_martingale,
@@ -121,19 +121,19 @@ def test_criterion_06_exceed_measure_bound():
     path = adversary_sequence(n_avg, 8)
     for level in range(1, 5):
         ex = exceed_set(f, path, level)
-        assert ex.measure <= Fraction(1, 2 ** (level - 1))
+        assert ex.measure() <= Fraction(1, 2 ** (level - 1))
         if level >= 2:
-            assert ex.measure <= Fraction(1, 2**level)
+            assert ex.measure() <= Fraction(1, 2**level)
     report(6, "exceed-set measures within 2^-(n-1) for n=1..4 (2^-n for n>=2)")
 
 
 def test_criterion_07_engulf_bound():
-    from recmeasure.nulltests import KurtzTest, engulf_transform, normalize
+    from recmeasure.nulltests import engulf_transform, normalize
 
     rng = random.Random(RNG_SEED)
     arrays = []
     maximal = [
-        KurtzTest(tuple(normalize(["0" * k]) for k in range(18)))
+        tuple(normalize(["0" * k]) for k in range(18))
         for _ in range(9)
     ]
     arrays.append(maximal)
@@ -148,7 +148,7 @@ def test_criterion_07_engulf_bound():
                     for _ in range(count)
                 }
                 levels.append(normalize(gens))
-            rows.append(KurtzTest(tuple(levels)))
+            rows.append(tuple(levels))
         arrays.append(rows)
     for rows in arrays:
         for i_max in range(9):
@@ -216,7 +216,7 @@ def test_criterion_11_pair_doubling_and_q_transform():
             target = "".join(b + b for b in half)
             for mask in itertools.product((False, True), repeat=depth):
                 row = "".join(target[x] if mask[x] else "2" for x in range(depth))
-                q = halve_transform(make_parametrization([row])).rows[0]
+                q = halve_transform(Parametrization([row])).rows[0]
                 assert consistent(q, half)
                 assert hits(q) >= -(-hits(row) // 2)
     report(11, "2^k certificates to length 20; Q-soundness exhaustive at depth 12")

@@ -106,15 +106,15 @@ class TestPairing:
 class TestIntervals:
     def test_logpart_first_interval(self):
         iv = interval(Family.LOGPART, 0)
-        assert (iv.lo, iv.hi) == (0, 1)
+        assert iv == range(0, 2)
 
     def test_pow3_example(self):
         iv = interval(Family.POW3, 1)
-        assert (iv.lo, iv.hi) == (3, 8)
+        assert iv == range(3, 9)
 
     def test_pow2_example(self):
         iv = interval(Family.POW2, 2)
-        assert (iv.lo, iv.hi) == (5, 8)
+        assert iv == range(5, 9)
 
     def test_logpart_sizes(self):
         assert [logpart_size(m) for m in range(8)] == [2, 3, 3, 4, 4, 4, 4, 5]
@@ -123,7 +123,7 @@ class TestIntervals:
         for m in range(1000):
             assert logpart_size(m) == math.floor(2 + math.log2(m + 1))
         for m in range(200):
-            assert interval(Family.LOGPART, m).size == logpart_size(m)
+            assert len(interval(Family.LOGPART, m)) == logpart_size(m)
 
     @pytest.mark.parametrize("family", list(Family))
     def test_partition_covers_initial_segment(self, family):
@@ -133,9 +133,10 @@ class TestIntervals:
         m = 0
         while True:
             iv = interval(family, m)
-            if iv.lo > limit:
+            assert iv, f"empty interval at index {m}"
+            if iv[0] > limit:
                 break
-            members = set(iv.members())
+            members = set(iv)
             assert not members & covered, f"overlap at index {m}"
             covered |= members
             m += 1

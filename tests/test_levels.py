@@ -367,7 +367,7 @@ class TestOracleEngine:
                     ]
                     ex = exceed_set(f, path, level)
                     assert (
-                        ex.members.sorted_generators()
+                        ex.sorted_generators()
                         == normalize(recount).sorted_generators()
                     ), (f.name, path, level)
 
@@ -478,8 +478,8 @@ class TestMergedEngineMatchesEnumeration:
         level = data.draw(st.integers(0, 2))
         hits = [tau for tau in oracles if max(capitals(tau, path)) > 2**level + 1]
         ex = exceed_set(f, path, level)
-        assert ex.members.sorted_generators() == normalize(hits).sorted_generators()
-        assert ex.measure == Fraction(len(hits), 2**u)
+        assert ex.sorted_generators() == normalize(hits).sorted_generators()
+        assert ex.measure() == Fraction(len(hits), 2**u)
 
         expected = set()
         for tau in oracles:

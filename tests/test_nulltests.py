@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from recmeasure.codec import Family, interval
 from recmeasure.nulltests import (
     ClopenSet,
-    KurtzTest,
     divergence_partial,
     dnr_cover_product,
     engulf_transform,
@@ -140,11 +139,11 @@ class TestMeasure:
 
 class TestKurtz:
     def test_single_generator_per_level_is_valid(self):
-        t = KurtzTest(tuple(normalize(["0" * i]) for i in range(6)))
+        t = tuple(normalize(["0" * i]) for i in range(6))
         assert kurtz_validate(t) == []
 
     def test_root_at_level_one_violates(self):
-        t = KurtzTest((normalize([""]), normalize([""])))
+        t = (normalize([""]), normalize([""]))
         report = kurtz_validate(t)
         assert len(report) == 1 and "level 1" in report[0]
 
@@ -158,20 +157,20 @@ class TestKurtz:
                 while len(gens) < count:
                     gens.add("".join(rng.choice("01") for _ in range(2 * i)))
                 levels.append(normalize(gens))
-            assert kurtz_validate(KurtzTest(tuple(levels))) == []
+            assert kurtz_validate(levels) == []
 
 
 class TestEngulf:
     @staticmethod
-    def maximal_rows(n_rows: int, depth: int) -> list[KurtzTest]:
+    def maximal_rows(n_rows: int, depth: int) -> list[tuple[ClopenSet, ...]]:
         # level k holds a single generator of length k: measure exactly 2^-k
         return [
-            KurtzTest(tuple(normalize(["0" * k]) for k in range(depth)))
+            tuple(normalize(["0" * k]) for k in range(depth))
             for _ in range(n_rows)
         ]
 
     def test_empty_cells(self):
-        rows = [KurtzTest(tuple(normalize([]) for _ in range(8)))] * 3
+        rows = [tuple(normalize([]) for _ in range(8))] * 3
         f_j, bound = engulf_transform(rows, 2, 2)
         assert f_j.measure() == 0
         assert bound == Fraction(7, 8) * Fraction(1, 4)
@@ -198,17 +197,17 @@ class TestEngulf:
                 levels.append(
                     normalize([prefix + "0" * (k - 2)]) if k >= 2 else normalize(["0" * k])
                 )
-            rows.append(KurtzTest(tuple(levels)))
+            rows.append(tuple(levels))
         f_j, bound = engulf_transform(rows, 1, 2)
         assert f_j.measure() == bound == Fraction(7, 8) * Fraction(1, 2)
 
     def test_missing_cells_error(self):
-        rows = [KurtzTest((normalize([]),))]
+        rows = [(normalize([]),)]
         with pytest.raises(ValueError):
             engulf_transform(rows, 1, 0)
 
     def test_invalid_row_error(self):
-        rows = [KurtzTest(tuple(normalize([""]) for _ in range(4)))]
+        rows = [tuple(normalize([""]) for _ in range(4))]
         with pytest.raises(ValueError):
             engulf_transform(rows, 0, 0)
 
@@ -216,7 +215,7 @@ class TestEngulf:
 def avoidance_brute_force(pairs) -> Fraction:
     """The measure of avoiding each (m, word on the LOGPART interval I_m) of
     ``pairs``, counted over every assignment to the intervals' coordinates."""
-    intervals = [(interval(Family.LOGPART, m).members(), sigma) for m, sigma in pairs]
+    intervals = [(interval(Family.LOGPART, m), sigma) for m, sigma in pairs]
     coords = [x for members, _ in intervals for x in members]
     total = 0
     for bits in itertools.product("01", repeat=len(coords)):
@@ -226,7 +225,7 @@ def avoidance_brute_force(pairs) -> Fraction:
 
 
 def avoidance_product(pairs) -> Fraction:
-    return prod(1 - Fraction(1, 2 ** interval(Family.LOGPART, m).size) for m, _ in pairs)
+    return prod(1 - Fraction(1, 2 ** len(interval(Family.LOGPART, m))) for m, _ in pairs)
 
 
 def check_avoidance_randomized(rng) -> None:
@@ -235,7 +234,7 @@ def check_avoidance_randomized(rng) -> None:
     for _ in range(10):
         pairs, covered = [], 0
         for m in rng.sample(range(6), rng.randint(1, 3)):
-            size = interval(Family.LOGPART, m).size
+            size = len(interval(Family.LOGPART, m))
             if covered + size <= 16:
                 covered += size
                 pairs.append((m, "".join(rng.choice("01") for _ in range(size))))
@@ -333,7 +332,7 @@ class TestFileIO:
         path = tmp_path / "k.txt"
         path.write_text("[level 0]\n-\n[level 1]\n0\n[level 2]\n00\n")
         t = load_kurtz(path)
-        assert len(t.levels) == 3
+        assert len(t) == 3
         assert kurtz_validate(t) == []
 
     def test_kurtz_rejects_bad_section_order(self, tmp_path):

@@ -143,15 +143,15 @@ class TestFunctionalValidate:
 class TestExceedSet:
     def test_constant_never_exceeds(self):
         ex = exceed_set(constant_functional(), "0101", 1)
-        assert ex.measure == 0
-        assert not ex.members.generators
+        assert ex.measure() == 0
+        assert not ex.generators
 
     def test_measure_at_most_one(self):
         f = savings_functional(oracle_coincidence_functional())
         n_avg = averaged_martingale(f, 8)
         path = adversary_sequence(n_avg, 8)
         ex = exceed_set(f, path, 0)
-        assert ex.measure <= 1
+        assert ex.measure() <= 1
 
     def test_sharper_measure_bound_for_savings_kernel(self):
         # with drop constant 2 the guaranteed bound is 2^-(n-1); for this
@@ -161,7 +161,7 @@ class TestExceedSet:
         path = adversary_sequence(n_avg, 8)
         for level in range(1, 5):
             ex = exceed_set(f, path, level)
-            assert ex.measure <= Fraction(1, 2**level)
+            assert ex.measure() <= Fraction(1, 2**level)
 
     def test_members_stay_up_after_exceeding(self):
         # once beyond 2^n + 1, a savings martingale keeps capital above
@@ -172,7 +172,7 @@ class TestExceedSet:
         for level in (1, 2):
             ex = exceed_set(f, path, level)
             floor = 2**level + 1 - 2
-            for tau in ex.members.generators:
+            for tau in ex.generators:
                 m = f.factory(tau, 8)
                 exceeded = False
                 for i in range(len(path) + 1):

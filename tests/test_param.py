@@ -11,7 +11,6 @@ from recmeasure.param import (
     hits,
     io_match_report,
     load_parametrization,
-    make_parametrization,
 )
 
 
@@ -40,25 +39,25 @@ class TestHits:
 
 class TestHalve:
     def test_min_picks_commitment(self):
-        p = make_parametrization(["20"])
+        p = Parametrization(["20"])
         assert halve_transform(p).rows == ("0",)
 
     def test_double_abstain_stays(self):
-        p = make_parametrization(["22"])
+        p = Parametrization(["22"])
         assert halve_transform(p).rows == ("2",)
 
     def test_positionwise_min(self):
-        p = make_parametrization(["1102"])
+        p = Parametrization(["1102"])
         assert halve_transform(p).rows == ("10",)
 
     def test_odd_depth_rejected(self):
         with pytest.raises(ValueError):
-            halve_transform(make_parametrization(["012"]))
+            halve_transform(Parametrization(["012"]))
 
 
 class TestReport:
     def test_combines_predicates(self):
-        p = make_parametrization(["222", "101", "021"])
+        p = Parametrization(["222", "101", "021"])
         assert io_match_report(p, "101") == [(True, 0), (True, 3), (False, 2)]
 
 
@@ -78,7 +77,7 @@ class TestHalveSoundness:
             for mask in itertools.product((False, True), repeat=depth):
                 row = "".join(target[x] if mask[x] else "2" for x in range(depth))
                 assert consistent(row, target)
-                q = halve_transform(make_parametrization([row])).rows[0]
+                q = halve_transform(Parametrization([row])).rows[0]
                 assert consistent(q, half)
                 assert hits(q) >= -(-hits(row) // 2)
 
@@ -90,7 +89,7 @@ class TestHalveSoundness:
             target = doubled(half)
             for symbols in itertools.product("012", repeat=4):
                 row = "".join(symbols)
-                q = halve_transform(make_parametrization([row])).rows[0]
+                q = halve_transform(Parametrization([row])).rows[0]
                 if consistent(row, target):
                     assert consistent(q, half)
                     assert hits(q) >= -(-hits(row) // 2)
@@ -104,7 +103,7 @@ class TestHalveSoundness:
         for x in range(6):
             if row[x] == "2":
                 refined = row[:x] + target[x] + row[x + 1 :]
-                q = halve_transform(make_parametrization([refined])).rows[0]
+                q = halve_transform(Parametrization([refined])).rows[0]
                 assert consistent(q, half)
 
 
@@ -130,15 +129,21 @@ class TestIO:
 
     def test_rejects_bad_symbols_in_constructor(self):
         with pytest.raises(ValueError):
-            Parametrization(((0, 3),), 2)
+            Parametrization(((0, 3),))
 
     def test_rejects_tuple_row(self):
         with pytest.raises(ValueError, match=r"row symbols must be in \{0,1,2\}"):
-            Parametrization(((0, 1),), 2)
+            Parametrization(((0, 1),))
 
     def test_rejects_symbol_3(self):
         with pytest.raises(ValueError, match="'031'"):
-            Parametrization(("031",), 3)
+            Parametrization(("031",))
+
+    def test_rejects_no_rows_and_ragged_rows(self):
+        with pytest.raises(ValueError, match="need at least one row"):
+            Parametrization([])
+        with pytest.raises(ValueError, match="common depth"):
+            Parametrization(["01", "012"])
 
 
 # The int-tuple definitions that rows as words must agree with: a row is a
@@ -170,5 +175,5 @@ class TestMatchesTupleDefinitions:
         as_tuple = tuple(int(c) for c in row)
         assert consistent(row, target) == tuple_consistent(as_tuple, target)
         assert hits(row) == tuple_hits(as_tuple)
-        folded = halve_transform(make_parametrization([row])).rows[0]
+        folded = halve_transform(Parametrization([row])).rows[0]
         assert folded == "".join(map(str, tuple_halve(as_tuple)))

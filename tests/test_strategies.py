@@ -35,7 +35,7 @@ class TestCoincidence:
         ]
 
     def test_agreement_on_first_pow3_interval(self):
-        size = interval(Family.POW3, 0).size
+        size = len(interval(Family.POW3, 0))
         m = coincidence_martingale("0" * size)
         assert m.value("0" * size) == Fraction(27, 8) >= Fraction(9, 8)
 
