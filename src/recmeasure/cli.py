@@ -18,10 +18,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 
-FAMILIES = [f.value for f in codec.Family]
-# sorted(oracle.BUILTIN_KERNELS) and oracle.DEFAULT_GUARD: the parser must not import oracle
+# sorted(oracle.BUILTIN_KERNELS): the parser must not import oracle
 KERNELS = ["coincidence", "constant", "prefix-coincidence", "savings-coincidence"]
-DEFAULT_GUARD = 20
 
 
 def fmt(value) -> str:
@@ -52,8 +50,9 @@ class IntervalOption(argparse.Action):
     """``--interval FAMILY M``: FAMILY must name a family and M be natural."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if values[0] not in FAMILIES:
-            raise argparse.ArgumentError(self, f"invalid family {values[0]!r}, not in {FAMILIES}")
+        if values[0] not in codec.FAMILIES:
+            raise argparse.ArgumentError(
+                self, f"invalid family {values[0]!r}, not in {codec.FAMILIES}")
         try:
             natural(values[1])
         except argparse.ArgumentTypeError as exc:
@@ -110,22 +109,21 @@ def cmd_codec(args) -> tuple[list[Result], list[str]]:
         e, n = args.s
         results.append((f"s({e},{n})", fmt(codec.s_index(e, n))))
     if args.interval is not None:
-        family = codec.Family(args.interval[0])
-        m = int(args.interval[1])
+        family, m = args.interval[0], int(args.interval[1])
         iv = codec.interval(family, m)
-        results.append((f"interval({family.value},{m})", f"{iv[0]}..{iv[-1]}"))
+        results.append((f"interval({family},{m})", f"{iv[0]}..{iv[-1]}"))
     if args.parity is not None:
-        results.append((f"parity({args.parity})", fmt(codec.parity(args.parity))))
+        results.append((f"parity({args.parity})", fmt(args.parity % 2)))
     if not results:
         raise ValueError("nothing to compute; pass one of the codec options")
     return results, []
 
 
 def cmd_budget(args) -> tuple[list[Result], list[str]]:
-    budget = codec.budget_sequence(args.k)
-    results = [(f"r_{i}", fmt(r)) for i, r in enumerate(budget.terms)]
-    results.append(("weighted_partial_sum", fmt(budget.weighted_partial_sum())))
-    results.append(("remainder", fmt(budget.remainder)))
+    terms, remainder = codec.budget_sequence(args.k)
+    results = [(f"r_{i}", fmt(r)) for i, r in enumerate(terms)]
+    results.append(("weighted_partial_sum", fmt(sum((i + 1) * r for i, r in enumerate(terms)))))
+    results.append(("remainder", fmt(remainder)))
     return results, []
 
 
@@ -166,7 +164,7 @@ def cmd_adversary(args) -> tuple[list[Result], list[str]]:
 def cmd_average(args) -> tuple[list[Result], list[str]]:
     from . import martingale, oracle
     f = _functional(args)
-    n = oracle.averaged_martingale(f, args.depth, guard=args.guard)
+    n = oracle.averaged_martingale(f, args.depth)
     results: list[Result] = [("kernel", f.name)]
     results += [
         (f"N({_show(codec.str_of(r))})", f"{num}/{den}")
@@ -183,10 +181,12 @@ def cmd_exceed(args) -> tuple[list[Result], list[str]]:
     f = _functional(args)
     if args.path is not None:
         path = "" if args.path == "-" else args.path
+        if len(path) != args.depth:
+            raise ValueError(f"--path has length {len(path)}, not --depth {args.depth}")
     else:
-        n_avg = oracle.averaged_martingale(f, args.depth, guard=args.guard)
+        n_avg = oracle.averaged_martingale(f, args.depth)
         path = strategies.adversary_sequence(n_avg, args.depth)
-    exceed = oracle.exceed_set(f, path, args.n, guard=args.guard)
+    exceed = oracle.exceed_set(f, path, args.n)
     mu, bound = exceed.measure(), Fraction(2, 2**args.n)
     results: list[Result] = [
         ("kernel", f.name),
@@ -218,8 +218,7 @@ def cmd_measure(args) -> tuple[list[Result], list[str]]:
 def cmd_engulf(args) -> tuple[list[Result], list[str]]:
     from . import nulltests
     rows = [nulltests.load_kurtz(p) for p in args.rows]
-    i_max = len(rows) - 1 if args.i_max is None else args.i_max
-    f_j, bound = nulltests.engulf_transform(rows, args.j, i_max)
+    f_j, bound = nulltests.engulf_transform(rows, args.j)
     mu = f_j.measure()
     results: list[Result] = [
         ("measure", fmt(mu)),
@@ -318,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prefix-length", type=natural, default=1,
                        help="prefix length for the prefix-coincidence kernel")
         p.add_argument("--depth", type=natural, required=True)
-        p.add_argument("--guard", type=natural, default=DEFAULT_GUARD,
-                       help="cap on the oracle enumeration length")
 
     p = sub.add_parser("average", help="oracle-averaged martingale table")
     add_kernel_options(p)
@@ -338,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("engulf", help="diagonal union of Kurtz test rows")
     p.add_argument("rows", nargs="+", help="Kurtz test files, one per row")
     p.add_argument("--j", type=natural, required=True)
-    p.add_argument("--i-max", type=natural)
     p.set_defaults(handler=cmd_engulf)
 
     p = sub.add_parser("dnr-cover", help="avoidance cover partial products")

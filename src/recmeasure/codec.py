@@ -6,7 +6,6 @@ Binary strings are plain ``str`` objects over the characters ``"0"`` and
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
@@ -108,16 +107,8 @@ def s_index(e: int, n: int) -> int:
     return 2 * pair(e, n)
 
 
-def parity(x: int) -> int:
-    return x % 2
-
-
-class Family(Enum):
-    """The three interval partition families used throughout."""
-
-    LOGPART = "logpart"
-    POW2 = "pow2"
-    POW3 = "pow3"
+# The three interval partition families used throughout
+FAMILIES = ["logpart", "pow2", "pow3"]
 
 
 def logpart_size(m: int) -> int:
@@ -137,35 +128,19 @@ def _logpart_lo(m: int) -> int:
     return 2 * m + (m + 1) * k - (1 << (k + 1)) + 2
 
 
-def interval(family: Family, m: int) -> range:
-    """The m-th interval of the given family, as the range of its integers."""
+def interval(family: str, m: int) -> range:
+    """The m-th interval of the family named ``family`` (see FAMILIES), as the
+    range of its integers."""
     if m < 0:
         raise ValueError("index must be a natural number")
-    if family is Family.LOGPART:
+    if family == "logpart":
         lo = _logpart_lo(m)
         return range(lo, lo + logpart_size(m))
-    if family is Family.POW2:
+    if family == "pow2":
         return range(0, 2) if m == 0 else range((1 << m) + 1, (1 << (m + 1)) + 1)
-    if family is Family.POW3:
+    if family == "pow3":
         return range(0, 3) if m == 0 else range(3**m, 3 ** (m + 1))
     raise ValueError(f"unknown family: {family!r}")
-
-
-class BudgetSequence:
-    """Prefix r_0..r_k of the dyadic budget with its exact remainder.
-
-    Every term is a negative power of 2 and
-    sum_i (i+1)*terms[i] + remainder == 1/2 exactly, with remainder > 0.
-    """
-
-    __slots__ = ("terms", "remainder")
-
-    def __init__(self, terms: tuple[Fraction, ...], remainder: Fraction) -> None:
-        self.terms, self.remainder = terms, remainder
-
-    def weighted_partial_sum(self) -> Fraction:
-        from fractions import Fraction
-        return sum(((i + 1) * r for i, r in enumerate(self.terms)), Fraction(0))
 
 
 def _largest_dyadic_below(x: Fraction) -> Fraction:
@@ -173,16 +148,14 @@ def _largest_dyadic_below(x: Fraction) -> Fraction:
     from fractions import Fraction
     if x <= 0:
         raise ValueError("x must be positive")
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    while Fraction(2) ** e > x:
-        e -= 1
-    while Fraction(2) ** (e + 1) <= x:
-        e += 1
-    return Fraction(2) ** e
+    # for e the difference of the bit lengths, 2^(e-1) < x < 2^(e+1)
+    p = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length())
+    return p if p <= x else p / 2
 
 
-def budget_sequence(k: int) -> BudgetSequence:
-    """Greedy prefix r_0..r_k of powers of two with weighted sum below 1/2.
+def budget_sequence(k: int) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Greedy prefix r_0..r_k of powers of two with weighted sum below 1/2, as
+    (terms, remainder): sum_i (i+1)*terms[i] + remainder == 1/2 exactly.
 
     r_i is the largest power of two with (i+1)*r_i <= remainder_i/2, which
     forces remainder_k <= (3/4)^k / 2 while keeping the remainder positive.
@@ -196,4 +169,4 @@ def budget_sequence(k: int) -> BudgetSequence:
         r = _largest_dyadic_below(remainder / (2 * (i + 1)))
         terms.append(r)
         remainder -= (i + 1) * r
-    return BudgetSequence(tuple(terms), remainder)
+    return tuple(terms), remainder

@@ -219,14 +219,14 @@ class SavingsMartingale(Martingale):
         return savings_step(state, self.base._step(sigma, state[3]))
 
 
-def violation(rank: int, value: tuple[int, int], zero=None, one=None) -> Optional[str]:
-    """What ``validate`` reports at the string of rank ``rank`` with capital ``value``
-    = (num, positive den), or None: alone, a negative value; with the values ``zero``
-    and ``one`` at its two extensions, unfair averaging.  Builds sigma only to report."""
-    n, d = value
-    if zero is None:
-        return f"negative value {Fraction(n, d)} at {str_of(rank) or 'λ'!r}" if n < 0 else None
-    (n0, d0), (n1, d1) = zero, one
+def negative(rank: int, num: int, den: int) -> str:
+    """The message for the negative capital num/den (den > 0) at the string of rank ``rank``."""
+    return f"negative value {Fraction(num, den)} at {str_of(rank) or 'λ'!r}"
+
+
+def unfair(rank: int, n: int, d: int, n0: int, d0: int, n1: int, d1: int) -> Optional[str]:
+    """The fairness check at rank ``rank``, with capital n/d there and n0/d0, n1/d1 at its
+    two extensions (each den > 0): None if 2*n/d == n0/d0 + n1/d1, else the message."""
     if 2 * n * d0 * d1 == (n0 * d1 + n1 * d0) * d:
         return None
     return (f"averaging violated at {str_of(rank) or 'λ'!r}: "
@@ -234,16 +234,18 @@ def violation(rank: int, value: tuple[int, int], zero=None, one=None) -> Optiona
 
 
 def validate(m: Martingale, depth: int) -> list[str]:
-    """All fairness/nonnegativity violations of ``m`` up to ``depth`` in rank order,
-    read off ``m.tabulate(depth)``; empty iff ``m`` is a martingale to that depth."""
+    """All fairness/nonnegativity violations of ``m`` up to ``depth`` in rank order, in one
+    pass over ``m.tabulate(depth)``; empty iff ``m`` is a martingale to that depth."""
     table = m.tabulate(depth)
-    pairs = list(zip(table.nums, table.dens))
+    nums, dens = table.nums, table.dens
     found = []
-    # ranks below len(pairs) // 2 have children 2r+1 and 2r+2; the rest are leaves
-    for r, (value, zero, one) in enumerate(zip(pairs, pairs[1::2], pairs[2::2])):
-        found += violation(r, value), violation(r, value, zero, one)
-    found += (violation(r, pairs[r]) for r in range(len(pairs) // 2, len(pairs)))
-    return [v for v in found if v]
+    for r, (n, d) in enumerate(zip(nums, dens)):
+        if n < 0:
+            found.append(negative(r, n, d))
+        c = 2 * r + 1  # the children of rank r are c and c + 1; a leaf has none
+        if c < len(nums) and (bad := unfair(r, n, d, nums[c], dens[c], nums[c + 1], dens[c + 1])):
+            found.append(bad)
+    return found
 
 
 def capital_trace(m: Martingale, path: str) -> list[Fraction]:

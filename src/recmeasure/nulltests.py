@@ -70,31 +70,27 @@ def kurtz_validate(levels: Sequence[ClopenSet]) -> list[str]:
     return violations
 
 
-def engulf_transform(
-    rows: Sequence[Sequence[ClopenSet]], j: int, i_max: int
-) -> tuple[ClopenSet, Fraction]:
-    """Union of the shifted diagonal cells G_{i, i+j+1} with its measure bound.
+def engulf_transform(rows: Sequence[Sequence[ClopenSet]], j: int) -> tuple[ClopenSet, Fraction]:
+    """Union over the rows i of the shifted diagonal cells G_{i, i+j+1}, with its bound.
 
     Row i is a Kurtz test, its levels G_{i,0}, G_{i,1}, ...
 
-    Returns (F_j, bound) where bound = (1 - 2^-(i_max+1)) * 2^-j and
+    Returns (F_j, bound) where bound = (1 - 2^-len(rows)) * 2^-j and
     measure(F_j) <= bound <= 2^-j.
     """
-    if j < 0 or i_max < 0:
-        raise ValueError("j and i_max must be natural numbers")
-    if len(rows) <= i_max:
-        raise ValueError(f"need rows 0..{i_max}, got {len(rows)}")
+    if j < 0:
+        raise ValueError("j must be a natural number")
     generators: set[str] = set()
-    for i in range(i_max + 1):
+    for i, row in enumerate(rows):
         k = i + j + 1
-        if len(rows[i]) <= k:
+        if len(row) <= k:
             raise ValueError(f"row {i} is missing level {k}")
-        bad = kurtz_validate(rows[i])
+        bad = kurtz_validate(row)
         if bad:
             raise ValueError(f"row {i} is not a Kurtz test: {bad[0]}")
-        generators |= rows[i][k].generators
+        generators |= row[k].generators
     f_j = normalize(generators)
-    bound = (1 - Fraction(1, 2 ** (i_max + 1))) * Fraction(1, 2**j)
+    bound = (1 - Fraction(1, 2 ** len(rows))) * Fraction(1, 2**j)
     return f_j, bound
 
 

@@ -11,16 +11,17 @@ from math import gcd, lcm
 from typing import Callable, Iterator, Optional
 
 from .codec import check_bits, num_of
-from .martingale import Martingale, State, TableMartingale, all_strings, violation
+from .martingale import Martingale, State, TableMartingale, all_strings, negative, unfair
 from .martingale import savings_start, savings_step
 from .nulltests import ClopenSet, normalize
 from .strategies import coincidence_step
 
-DEFAULT_GUARD = 20
+# The enumeration guard: the most oracle bits a run reads, and the deepest tree it steps
+GUARD = 20
 
 
 class GuardExceeded(ValueError):
-    """Raised when an oracle use length is too large to run exactly."""
+    """Raised when an oracle use length or a tree depth is above GUARD."""
 
 
 class UseNotMonotone(ValueError):
@@ -54,14 +55,14 @@ class TTFunctional:
         if self.factory is None:
             object.__setattr__(self, "factory", lambda tau, d: OracleMartingale(self, tau, d))
 
-    def uses(self, depth: int, guard: int = DEFAULT_GUARD) -> list[int]:
-        """use_bound(0..depth), checked monotone and, at depth, within the guard."""
+    def uses(self, depth: int) -> list[int]:
+        """use_bound(0..depth), checked monotone and, at depth, within GUARD."""
         if depth < 0:
             raise ValueError("depth must be a natural number")
         uses = [self.use_bound(n) for n in range(depth + 1)]
-        if uses[-1] > guard:
+        if uses[-1] > GUARD:
             raise GuardExceeded(
-                f"use bound {uses[-1]} at depth {depth} exceeds the enumeration guard {guard}"
+                f"use bound {uses[-1]} at depth {depth} exceeds the enumeration guard {GUARD}"
             )
         for n, (a, b) in enumerate(zip(uses, uses[1:])):
             if b < a:
@@ -105,23 +106,28 @@ BUILTIN_KERNELS = {
 
 def _tree(f: TTFunctional, uses: list[int], root, node) -> Iterator[tuple[str, dict]]:
     """Each sigma, depth first, with its groups state -> value of the oracle prefixes
-    reaching it; ``node(sigma, groups, freshes)`` gives the children's groups."""
+    reaching it; ``node(sigma, groups, freshes)`` gives the children's groups.
+    A depth above GUARD raises GuardExceeded at the call, before any work."""
+    if len(uses) - 1 > GUARD:
+        raise GuardExceeded(f"depth {len(uses) - 1} exceeds the enumeration guard {GUARD}")
     freshes = [list(all_strings(b - a)) for a, b in zip(uses, uses[1:])]
-    stack = [("", {f.start: root})]
-    while stack:
-        sigma, groups = stack.pop()
-        yield sigma, groups
-        if len(sigma) < len(freshes):
-            zero, one = node(sigma, groups, freshes[len(sigma)])
-            stack += (sigma + "1", one), (sigma + "0", zero)
+
+    def walk():
+        stack = [("", {f.start: root})]
+        while stack:
+            sigma, groups = stack.pop()
+            yield sigma, groups
+            if len(sigma) < len(freshes):
+                zero, one = node(sigma, groups, freshes[len(sigma)])
+                stack += (sigma + "1", one), (sigma + "0", zero)
+
+    return walk()
 
 
-def averaged_martingale(
-    f: TTFunctional, depth: int, guard: int = DEFAULT_GUARD
-) -> TableMartingale:
+def averaged_martingale(f: TTFunctional, depth: int) -> TableMartingale:
     """Exact average of M^tau(sigma) over the oracle prefixes of length
     use(|sigma|), which M^tau reads; each group counts its prefixes."""
-    uses, step = f.uses(depth, guard), f.step
+    uses, step = f.uses(depth), f.step
 
     def node(sigma, groups, freshes):
         zero, one = {}, {}
@@ -132,8 +138,9 @@ def averaged_martingale(
                 one[s1] = one.get(s1, 0) + count
         return zero, one
 
+    tree = _tree(f, uses, 1, node)  # checks the depth before the arrays are made
     nums, dens = [None] * ((2 << depth) - 1), [None] * ((2 << depth) - 1)
-    for sigma, groups in _tree(f, uses, 1, node):
+    for sigma, groups in tree:
         den = lcm(*(s[1] for s in groups))
         num = sum(count * s[0] * (den // s[1]) for s, count in groups.items())
         den <<= uses[len(sigma)]
@@ -143,14 +150,14 @@ def averaged_martingale(
     return TableMartingale(depth, nums, dens)
 
 
-def exceed_set(f: TTFunctional, path: str, n: int, guard: int = DEFAULT_GUARD) -> ClopenSet:
+def exceed_set(f: TTFunctional, path: str, n: int) -> ClopenSet:
     """Clopen set of oracle words tau with max_{beta <= path} M^tau(beta) > 2^n + 1.
 
     A group of oracle prefixes tau[:use(i)] leaves at its first exceedance as
     their extensions to use(|path|); bounds need :func:`savings_functional`."""
     if n < 0:
         raise ValueError(f"exceed level must be a natural number, got {n}")
-    uses = f.uses(len(check_bits(path)), guard)
+    uses = f.uses(len(check_bits(path)))
     threshold, groups, hits = 2**n + 1, {f.start: [""]}, []
     for i in range(len(path) + 1):
         for state in [s for s in groups if s[0] > threshold * s[1]]:
@@ -165,12 +172,12 @@ def exceed_set(f: TTFunctional, path: str, n: int, guard: int = DEFAULT_GUARD) -
     return normalize(hits)
 
 
-def functional_validate(f: TTFunctional, depth: int, guard: int = DEFAULT_GUARD) -> list[str]:
+def functional_validate(f: TTFunctional, depth: int) -> list[str]:
     """Nonnegativity and fairness once per (sigma, state, fresh), naming one
     oracle prefix that reaches the state.  A step sees only its fresh bits, so
     the use bound holds by construction; a non-monotone one is reported."""
     try:
-        uses = f.uses(depth, guard)
+        uses = f.uses(depth)
     except UseNotMonotone as exc:
         return [str(exc)]
     violations: list[str] = []
@@ -180,18 +187,17 @@ def functional_validate(f: TTFunctional, depth: int, guard: int = DEFAULT_GUARD)
         for state, tau in groups.items():
             for fresh in freshes:
                 s0, s1 = f.step(sigma, state, fresh)
-                unfair = violation(r, state[:2], s0[:2], s1[:2])
-                if unfair:
-                    violations.append(f"oracle {tau + fresh or '-'}: {unfair}")
+                bad = unfair(r, *state[:2], *s0[:2], *s1[:2])
+                if bad:
+                    violations.append(f"oracle {tau + fresh or '-'}: {bad}")
                 zero.setdefault(s0, tau + fresh)
                 one.setdefault(s1, tau + fresh)
         return zero, one
 
     for sigma, groups in _tree(f, uses, "", node):
-        r = num_of(sigma)
         violations += [
-            f"oracle {tau or '-'}: {negative}"
+            f"oracle {tau or '-'}: {negative(num_of(sigma), *state[:2])}"
             for state, tau in groups.items()
-            if (negative := violation(r, state[:2]))
+            if state[0] < 0
         ]
     return violations

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import random
@@ -208,36 +209,49 @@ class TestBadInputLines:
 NATURAL = "must be a natural number"
 
 
+# (option, argv, the message after "argument OPTION: "), one case for every
+# natural-number option of every subcommand, plus --interval's own checks
+NEGATIVE_OPTIONS = [
+    pytest.param("--n", ["exceed", "--kernel", "savings-coincidence", "--depth", "4",
+                         "--n", "-1"], NATURAL, id="n"),
+    pytest.param("--depth", ["average", "--kernel", "coincidence", "--depth", "-1"], NATURAL,
+                 id="depth"),
+    pytest.param("--prefix-length", ["average", "--kernel", "prefix-coincidence",
+                                     "--prefix-length", "-2", "--depth", "3"], NATURAL,
+                 id="prefix-length"),
+    pytest.param("--depth", ["exceed", "--kernel", "coincidence", "--depth", "-1", "--n", "1"],
+                 NATURAL, id="exceed-depth"),
+    pytest.param("--prefix-length", ["exceed", "--kernel", "prefix-coincidence",
+                                     "--prefix-length", "-2", "--depth", "3", "--n", "1"],
+                 NATURAL, id="exceed-prefix-length"),
+    pytest.param("--depth", ["validate", "table.txt", "--depth", "-1"], NATURAL,
+                 id="validate-depth"),
+    pytest.param("--depth", ["trace", "--strategy", "pair-doubling", "--depth", "-4",
+                             "--path", "0"], NATURAL, id="trace-depth"),
+    pytest.param("--depth", ["adversary", "--strategy", "pair-doubling", "--depth", "-4"],
+                 NATURAL, id="adversary-depth"),
+    pytest.param("--length", ["adversary", "table.txt", "--length", "-1"], NATURAL,
+                 id="adversary-length"),
+    pytest.param("--k", ["budget", "--k", "-1"], NATURAL, id="budget-k"),
+    pytest.param("--e", ["dnr-cover", "--e", "-1", "--n", "3"], NATURAL, id="dnr-cover-e"),
+    pytest.param("--n", ["dnr-cover", "--e", "0", "--n", "-3"], NATURAL, id="dnr-cover-n"),
+    pytest.param("--j", ["engulf", "row.txt", "--j", "-1"], NATURAL, id="engulf-j"),
+    pytest.param("--str", ["codec", "--str", "-5"], NATURAL, id="codec-str"),
+    pytest.param("--pair", ["codec", "--pair", "3", "-1"], NATURAL, id="codec-pair"),
+    pytest.param("--s", ["codec", "--s", "-2", "4"], NATURAL, id="codec-s"),
+    pytest.param("--interval", ["codec", "--interval", "pow2", "-1"], NATURAL,
+                 id="codec-interval-m"),
+    pytest.param("--interval", ["codec", "--interval", "pow2", "x"], NATURAL,
+                 id="codec-interval-m-text"),
+    pytest.param("--interval", ["codec", "--interval", "bogus", "3"],
+                 "invalid family 'bogus'", id="codec-interval-family"),
+]
+
+
 class TestNegativeOptions:
     """Negative counts and unknown interval families are rejected at the option."""
 
-    @pytest.mark.parametrize(
-        "option, argv, message",
-        [
-            ("--n", ["exceed", "--kernel", "savings-coincidence", "--depth", "4",
-                     "--n", "-1"], NATURAL),
-            ("--depth", ["average", "--kernel", "coincidence", "--depth", "-1"], NATURAL),
-            ("--prefix-length", ["average", "--kernel", "prefix-coincidence",
-                                 "--prefix-length", "-2", "--depth", "3"], NATURAL),
-            ("--guard", ["exceed", "--kernel", "coincidence", "--depth", "3",
-                         "--n", "1", "--guard", "-1"], NATURAL),
-            ("--k", ["budget", "--k", "-1"], NATURAL),
-            ("--e", ["dnr-cover", "--e", "-1", "--n", "3"], NATURAL),
-            ("--n", ["dnr-cover", "--e", "0", "--n", "-3"], NATURAL),
-            ("--j", ["engulf", "row.txt", "--j", "-1"], NATURAL),
-            ("--i-max", ["engulf", "row.txt", "--j", "0", "--i-max", "-1"], NATURAL),
-            ("--str", ["codec", "--str", "-5"], NATURAL),
-            ("--pair", ["codec", "--pair", "3", "-1"], NATURAL),
-            ("--s", ["codec", "--s", "-2", "4"], NATURAL),
-            ("--interval", ["codec", "--interval", "pow2", "-1"], NATURAL),
-            ("--interval", ["codec", "--interval", "pow2", "x"], NATURAL),
-            ("--interval", ["codec", "--interval", "bogus", "3"], "invalid family 'bogus'"),
-        ],
-        ids=["n", "depth", "prefix-length", "guard", "budget-k", "dnr-cover-e",
-             "dnr-cover-n", "engulf-j", "engulf-i-max", "codec-str", "codec-pair",
-             "codec-s", "codec-interval-m", "codec-interval-m-text",
-             "codec-interval-family"],
-    )
+    @pytest.mark.parametrize("option, argv, message", NEGATIVE_OPTIONS)
     def test_rejected_with_exit_2(self, capsys, option, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -245,6 +259,20 @@ class TestNegativeOptions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {option}: {message}" in captured.err
+
+    def test_every_natural_option_has_a_case(self):
+        # a natural-number option is added or removed only with its case above
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        naturals = {
+            (command, option)
+            for command, parser in commands.items()
+            for action in parser._actions if action.type is cli.natural
+            for option in action.option_strings
+        }
+        cases = {(argv[0], option) for option, argv, _ in (p.values for p in NEGATIVE_OPTIONS)
+                 if option != "--interval"}
+        assert cases == naturals
 
 
 NINES = "9" * 5000
@@ -315,6 +343,18 @@ class TestCodecCommand:
         code, out = run_cli(capsys, "codec", "--interval", "pow3", "1")
         assert code == 0 and "interval(pow3,1): 3..8" in out
 
+    @pytest.mark.parametrize("family, line", [
+        ("logpart", "interval(logpart,5): 16..19\n"),
+        ("pow2", "interval(pow2,5): 33..64\n"),
+        ("pow3", "interval(pow3,5): 243..728\n"),
+    ])
+    def test_interval_output_is_pinned(self, capsys, family, line):
+        assert run_cli(capsys, "codec", "--interval", family, "5") == (0, line)
+
+    def test_parity(self, capsys):
+        assert run_cli(capsys, "codec", "--parity", "-8") == (0, "parity(-8): 0\n")
+        assert run_cli(capsys, "codec", "--parity", "-7") == (0, "parity(-7): 1\n")
+
     def test_no_option_is_an_error(self, capsys):
         assert main(["codec"]) == 2
 
@@ -324,6 +364,11 @@ class TestOtherCommands:
         code, out = run_cli(capsys, "budget", "--k", "1")
         assert code == 0
         assert "r_0: 1/4" in out and "r_1: 1/16" in out and "remainder: 1/8" in out
+
+    def test_budget_output_is_pinned(self, capsys):
+        assert run_cli(capsys, "budget", "--k", "3") == (0, (
+            "r_0: 1/4\nr_1: 1/16\nr_2: 1/64\nr_3: 1/128\n"
+            "weighted_partial_sum: 29/64\nremainder: 3/64\n"))
 
     def test_trace_strategy(self, capsys):
         code, out = run_cli(
@@ -349,10 +394,19 @@ class TestOtherCommands:
         assert code == 0 and "N(-): 1/1" in out
 
     def test_average_guard(self, capsys):
-        code = main(
-            ["average", "--kernel", "coincidence", "--depth", "8", "--guard", "4"]
-        )
-        assert code == 2
+        # a tree deeper than the guard is refused before any node is stepped
+        assert main(["average", "--kernel", "constant", "--depth", "21"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: depth 21 exceeds the enumeration guard 20\n"
+
+    def test_exceed_path_must_have_the_depth(self, capsys):
+        argv = ["exceed", "--kernel", "coincidence", "--depth", "3", "--n", "0", "--path"]
+        assert main([*argv, "01"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --path has length 2, not --depth 3\n"
+        assert run_cli(capsys, *argv, "011")[0] == 0
 
     def test_exceed(self, capsys):
         code, out = run_cli(
@@ -364,10 +418,11 @@ class TestOtherCommands:
     def test_engulf(self, capsys, tmp_path):
         row = tmp_path / "row.txt"
         row.write_text("[level 0]\n-\n[level 1]\n0\n[level 2]\n00\n[level 3]\n000\n")
-        code, out = run_cli(
-            capsys, "engulf", str(row), str(row), "--j", "1"
-        )
-        assert code == 0 and "bound: 3/8" in out
+        assert run_cli(capsys, "engulf", str(row), str(row), "--j", "1") == (
+            0, "measure: 1/4\nbound: 3/8\ngenerator_0: 00\n")
+        # rows 0..i of the union are the first i + 1 row files
+        assert run_cli(capsys, "engulf", str(row), "--j", "1") == (
+            0, "measure: 1/4\nbound: 1/4\ngenerator_0: 00\n")
 
     def test_dnr_cover(self, capsys):
         code, out = run_cli(capsys, "dnr-cover", "--e", "0", "--n", "0")
@@ -535,7 +590,6 @@ class TestImports:
         from recmeasure import oracle
 
         assert cli.KERNELS == sorted(oracle.BUILTIN_KERNELS)
-        assert cli.DEFAULT_GUARD == oracle.DEFAULT_GUARD
 
 
 class TestBenchTracer:

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from recmeasure.codec import (
-    Family,
+    FAMILIES,
+    _largest_dyadic_below,
     budget_sequence,
     check_bits,
     excerpt,
@@ -14,7 +15,6 @@ from recmeasure.codec import (
     logpart_size,
     num_of,
     pair,
-    parity,
     read_rational,
     s_index,
     str_of,
@@ -105,15 +105,15 @@ class TestPairing:
 
 class TestIntervals:
     def test_logpart_first_interval(self):
-        iv = interval(Family.LOGPART, 0)
+        iv = interval("logpart", 0)
         assert iv == range(0, 2)
 
     def test_pow3_example(self):
-        iv = interval(Family.POW3, 1)
+        iv = interval("pow3", 1)
         assert iv == range(3, 9)
 
     def test_pow2_example(self):
-        iv = interval(Family.POW2, 2)
+        iv = interval("pow2", 2)
         assert iv == range(5, 9)
 
     def test_logpart_sizes(self):
@@ -123,9 +123,9 @@ class TestIntervals:
         for m in range(1000):
             assert logpart_size(m) == math.floor(2 + math.log2(m + 1))
         for m in range(200):
-            assert len(interval(Family.LOGPART, m)) == logpart_size(m)
+            assert len(interval("logpart", m)) == logpart_size(m)
 
-    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_partition_covers_initial_segment(self, family):
         # POW2 skips the number 2: its intervals jump from {0,1} to {3,4}.
         limit = 10**5
@@ -141,9 +141,13 @@ class TestIntervals:
             covered |= members
             m += 1
         expected = set(range(limit + 1))
-        if family is Family.POW2:
+        if family == "pow2":
             expected.discard(2)
         assert expected <= covered
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family: 'bogus'"):
+            interval("bogus", 0)
 
     def test_logpart_termwise_inequality(self):
         for e in range(9):
@@ -152,34 +156,47 @@ class TestIntervals:
                 assert 2**size <= 64 * (e + 1) ** 2 * (n + 1)
 
 
+def weighted_sum(terms) -> Fraction:
+    return sum(((i + 1) * r for i, r in enumerate(terms)), Fraction(0))
+
+
 class TestBudget:
     def test_first_terms(self):
-        b = budget_sequence(1)
-        assert b.terms == (Fraction(1, 4), Fraction(1, 16))
-        assert budget_sequence(0).remainder == Fraction(1, 4)
-        assert b.remainder == Fraction(1, 8)
+        assert budget_sequence(1) == ((Fraction(1, 4), Fraction(1, 16)), Fraction(1, 8))
+        assert budget_sequence(0) == ((Fraction(1, 4),), Fraction(1, 4))
 
     def test_partial_sum_at_two(self):
-        b = budget_sequence(2)
-        assert b.weighted_partial_sum() == Fraction(27, 64)
-        assert b.weighted_partial_sum() < Fraction(1, 2)
+        terms, _ = budget_sequence(2)
+        assert weighted_sum(terms) == Fraction(27, 64)
+        assert weighted_sum(terms) < Fraction(1, 2)
 
     def test_invariants_up_to_64(self):
-        b = budget_sequence(64)
+        terms, last = budget_sequence(64)
         remainder = Fraction(1, 2)
-        for i, r in enumerate(b.terms):
+        for i, r in enumerate(terms):
             assert r > 0
             assert r.numerator == 1 and (r.denominator & (r.denominator - 1)) == 0
             remainder -= (i + 1) * r
             assert remainder > 0
             assert remainder <= Fraction(3, 4) ** (i + 1) * Fraction(1, 2)
-        assert remainder == b.remainder
-        assert b.weighted_partial_sum() + b.remainder == Fraction(1, 2)
+        assert remainder == last
+        assert weighted_sum(terms) + last == Fraction(1, 2)
 
     def test_prefix_consistency(self):
-        long = budget_sequence(20)
+        long, _ = budget_sequence(20)
         for k in (0, 3, 11):
-            assert budget_sequence(k).terms == long.terms[: k + 1]
+            assert budget_sequence(k)[0] == long[: k + 1]
+
+    @given(st.fractions(min_value=Fraction(1, 10**30), max_value=10**30))
+    def test_largest_dyadic_below(self, x):
+        p = _largest_dyadic_below(x)
+        assert p <= x < 2 * p
+        assert 1 in (p.numerator, p.denominator)
+        assert (p.numerator * p.denominator).bit_count() == 1
+
+    def test_largest_dyadic_below_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="x must be positive"):
+            _largest_dyadic_below(Fraction(0))
 
 
 class TestReadRational:
@@ -237,9 +254,3 @@ class TestExcerpt:
         with pytest.raises(ValueError) as exc:
             check_bits("0" * 50 + "2")
         assert str(exc.value) == f"not a binary string: {'0' * 40!r}... (51 chars)"
-
-
-def test_parity():
-    assert parity(0) == 0
-    assert parity(1) == 1
-    assert parity(10) == 0

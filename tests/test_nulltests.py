@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from recmeasure.codec import Family, interval
+from recmeasure.codec import interval
 from recmeasure.nulltests import (
     ClopenSet,
     divergence_partial,
@@ -171,19 +171,19 @@ class TestEngulf:
 
     def test_empty_cells(self):
         rows = [tuple(normalize([]) for _ in range(8))] * 3
-        f_j, bound = engulf_transform(rows, 2, 2)
+        f_j, bound = engulf_transform(rows, 2)
         assert f_j.measure() == 0
         assert bound == Fraction(7, 8) * Fraction(1, 4)
 
     def test_single_generator_cells(self):
         rows = self.maximal_rows(4, 10)
         for j in range(4):
-            f_j, bound = engulf_transform(rows, j, 3)
+            f_j, bound = engulf_transform(rows, j)
             assert f_j.measure() <= bound <= Fraction(1, 2**j)
 
     def test_maximal_bound_example(self):
         rows = self.maximal_rows(3, 6)
-        _, bound = engulf_transform(rows, 0, 2)
+        _, bound = engulf_transform(rows, 0)
         assert bound == Fraction(7, 8)
 
     def test_distinct_generators_reach_the_bound(self):
@@ -198,24 +198,24 @@ class TestEngulf:
                     normalize([prefix + "0" * (k - 2)]) if k >= 2 else normalize(["0" * k])
                 )
             rows.append(tuple(levels))
-        f_j, bound = engulf_transform(rows, 1, 2)
+        f_j, bound = engulf_transform(rows, 1)
         assert f_j.measure() == bound == Fraction(7, 8) * Fraction(1, 2)
 
     def test_missing_cells_error(self):
         rows = [(normalize([]),)]
         with pytest.raises(ValueError):
-            engulf_transform(rows, 1, 0)
+            engulf_transform(rows, 1)
 
     def test_invalid_row_error(self):
         rows = [tuple(normalize([""]) for _ in range(4))]
         with pytest.raises(ValueError):
-            engulf_transform(rows, 0, 0)
+            engulf_transform(rows, 0)
 
 
 def avoidance_brute_force(pairs) -> Fraction:
     """The measure of avoiding each (m, word on the LOGPART interval I_m) of
     ``pairs``, counted over every assignment to the intervals' coordinates."""
-    intervals = [(interval(Family.LOGPART, m), sigma) for m, sigma in pairs]
+    intervals = [(interval("logpart", m), sigma) for m, sigma in pairs]
     coords = [x for members, _ in intervals for x in members]
     total = 0
     for bits in itertools.product("01", repeat=len(coords)):
@@ -225,7 +225,7 @@ def avoidance_brute_force(pairs) -> Fraction:
 
 
 def avoidance_product(pairs) -> Fraction:
-    return prod(1 - Fraction(1, 2 ** len(interval(Family.LOGPART, m))) for m, _ in pairs)
+    return prod(1 - Fraction(1, 2 ** len(interval("logpart", m))) for m, _ in pairs)
 
 
 def check_avoidance_randomized(rng) -> None:
@@ -234,7 +234,7 @@ def check_avoidance_randomized(rng) -> None:
     for _ in range(10):
         pairs, covered = [], 0
         for m in rng.sample(range(6), rng.randint(1, 3)):
-            size = len(interval(Family.LOGPART, m))
+            size = len(interval("logpart", m))
             if covered + size <= 16:
                 covered += size
                 pairs.append((m, "".join(rng.choice("01") for _ in range(size))))

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from recmeasure.martingale import all_strings, validate
 from recmeasure.oracle import (
     BUILTIN_KERNELS,
+    GUARD,
     GuardExceeded,
     TTFunctional,
     UseNotMonotone,
@@ -62,8 +64,31 @@ class TestAveraged:
                 assert n.value(sigma) == brute_force_average(f, sigma, depth), name
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            averaged_martingale(oracle_coincidence_functional(), 8, guard=4)
+        # a tree one level deeper than GUARD fails before it steps or allocates:
+        # its two rank arrays alone would take 2^(GUARD+2) slots
+        def step(sigma, state, fresh):
+            raise AssertionError("stepped past the guard")
+
+        f = TTFunctional("never", lambda n: 0, (1, 1), step)
+        tracemalloc.start()
+        try:
+            for kernel, run in [
+                (f, averaged_martingale),
+                (f, functional_validate),
+                (constant_functional(), averaged_martingale),
+                (oracle_coincidence_functional(), averaged_martingale),
+            ]:
+                with pytest.raises(GuardExceeded, match=f"exceeds the enumeration guard {GUARD}"):
+                    run(kernel, GUARD + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_exceed_path_may_pass_the_guard_depth(self):
+        # exceed_set walks one path, so only its use bound is capped
+        ex = exceed_set(constant_functional(), "0" * (GUARD + 5), 0)
+        assert ex.measure() == 0
 
 
 class TestFunctionalValidate:
