@@ -184,8 +184,7 @@ def cmd_exceed(args) -> tuple[list[Result], list[str]]:
         if len(path) != args.depth:
             raise ValueError(f"--path has length {len(path)}, not --depth {args.depth}")
     else:
-        n_avg = oracle.averaged_martingale(f, args.depth)
-        path = strategies.adversary_sequence(n_avg, args.depth)
+        path = strategies.adversary_sequence(oracle.AveragedMartingale(f, args.depth), args.depth)
     exceed = oracle.exceed_set(f, path, args.n)
     mu, bound = exceed.measure(), Fraction(2, 2**args.n)
     results: list[Result] = [

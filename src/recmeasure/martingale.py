@@ -29,6 +29,18 @@ def all_strings(length: int) -> Iterable[str]:
     return (format(i, "b").zfill(length) if length else "" for i in range(1 << length))
 
 
+def tree(start: State, step: Callable, depth: int) -> Iterator[tuple[int, str, State]]:
+    """Every (rank, sigma, state) with |sigma| <= depth, depth first, "0" before "1";
+    ``step(sigma, state)`` gives the children's states, once per inner node, after its yield."""
+    stack = [(0, "", start)]
+    while stack:
+        r, sigma, state = stack.pop()
+        yield r, sigma, state
+        if len(sigma) < depth:
+            zero, one = step(sigma, state)
+            stack += (2 * r + 2, sigma + "1", one), (2 * r + 1, sigma + "0", zero)
+
+
 class Martingale:
     """Base class: a capital function defined on strings of length <= depth.
 
@@ -63,19 +75,14 @@ class Martingale:
         return Fraction(*self.walk(sigma)[-1])
 
     def tabulate(self, depth: int) -> TableMartingale:
-        """The exact values of every string of length <= depth as a table,
-        stepped breadth-first once per node, each node's (num, den) at its rank
-        (see :func:`codec.num_of`), so the children of rank r are 2r+1 and 2r+2."""
+        """The exact values of every string of length <= depth as a table, each
+        node's (num, den) at its rank (see :func:`codec.num_of`), from one
+        :func:`tree` walk, which holds one pending state per level."""
         self._check_depth(depth)
-        states, level = [self.start], [self.start]
-        for length in range(depth):
-            level = [
-                child
-                for sigma, state in zip(all_strings(length), level)
-                for child in self._step(sigma, state)
-            ]
-            states += level
-        return TableMartingale(depth, [s[0] for s in states], [s[1] for s in states])
+        nums, dens = [0] * ((2 << depth) - 1), [0] * ((2 << depth) - 1)
+        for r, _, state in tree(self.start, self._step, depth):
+            nums[r], dens[r] = state[:2]
+        return TableMartingale(depth, nums, dens)
 
     def _check_query(self, sigma: str) -> None:
         check_bits(sigma)

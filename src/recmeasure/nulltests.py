@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codec import check_bits, excerpt, logpart_size, read_bits, read_lines, s_index
+from .codec import check_bits, excerpt, is_digits, logpart_size, read_bits, read_lines, s_index
 
 
 def _minimal(words: Iterable[str]) -> list[str]:
@@ -153,10 +153,9 @@ def load_kurtz(path) -> tuple[ClopenSet, ...]:
                 header = line[1:-1].split()
                 if len(header) != 2 or header[0] != "level":
                     raise ValueError(f"bad section {excerpt(line)}")
-                try:
-                    index = int(header[1])
-                except ValueError:
-                    raise ValueError("bad level index") from None
+                if not is_digits(header[1]):
+                    raise ValueError("bad level index")
+                index = int(header[1])
                 if index != len(levels):
                     raise ValueError(f"expected level {len(levels)}, got {index}")
                 current = set()

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .codec import check_bits, num_of
 from .martingale import Martingale, State, TableMartingale, all_strings, negative, unfair
-from .martingale import savings_start, savings_step
+from .martingale import savings_start, savings_step, tree
 from .nulltests import ClopenSet, normalize
 from .strategies import coincidence_step
 
@@ -55,8 +55,9 @@ class TTFunctional:
         if self.factory is None:
             object.__setattr__(self, "factory", lambda tau, d: OracleMartingale(self, tau, d))
 
-    def uses(self, depth: int) -> list[int]:
-        """use_bound(0..depth), checked monotone and, at depth, within GUARD."""
+    def levels(self, depth: int) -> tuple[list[int], dict[int, list[str]]]:
+        """use_bound(0..depth), checked monotone and, at depth, within GUARD, and
+        all_strings(w) for each width w = use(n+1) - use(n) that occurs."""
         if depth < 0:
             raise ValueError("depth must be a natural number")
         uses = [self.use_bound(n) for n in range(depth + 1)]
@@ -67,7 +68,7 @@ class TTFunctional:
         for n, (a, b) in enumerate(zip(uses, uses[1:])):
             if b < a:
                 raise UseNotMonotone(f"use bound not monotone: use({n})={a} > use({n+1})={b}")
-        return uses
+        return uses, {w: list(all_strings(w)) for w in {b - a for a, b in zip(uses, uses[1:])}}
 
 
 def constant_functional() -> TTFunctional:
@@ -104,50 +105,40 @@ BUILTIN_KERNELS = {
 }
 
 
-def _tree(f: TTFunctional, uses: list[int], root, node) -> Iterator[tuple[str, dict]]:
-    """Each sigma, depth first, with its groups state -> value of the oracle prefixes
-    reaching it; ``node(sigma, groups, freshes)`` gives the children's groups.
-    A depth above GUARD raises GuardExceeded at the call, before any work."""
-    if len(uses) - 1 > GUARD:
-        raise GuardExceeded(f"depth {len(uses) - 1} exceeds the enumeration guard {GUARD}")
-    freshes = [list(all_strings(b - a)) for a, b in zip(uses, uses[1:])]
+class AveragedMartingale(Martingale):
+    """N(sigma), the exact average of M^tau(sigma) over the oracle prefixes of
+    length use(|sigma|), which M^tau reads.  Its state is (num, den, groups), where
+    groups maps each state the prefixes reach at sigma to how many reach it."""
 
-    def walk():
-        stack = [("", {f.start: root})]
-        while stack:
-            sigma, groups = stack.pop()
-            yield sigma, groups
-            if len(sigma) < len(freshes):
-                zero, one = node(sigma, groups, freshes[len(sigma)])
-                stack += (sigma + "1", one), (sigma + "0", zero)
+    def __init__(self, f: TTFunctional, depth: int):
+        self.f, self.depth, (self.uses, self.words) = f, depth, f.levels(depth)
+        self.start = self._mean({f.start: 1 << self.uses[0]}, 0)
 
-    return walk()
+    def _mean(self, groups: dict, n: int) -> State:
+        den = lcm(*(s[1] for s in groups))
+        num = sum(count * s[0] * (den // s[1]) for s, count in groups.items())
+        den <<= self.uses[n]
+        g = gcd(num, den)
+        return num // g, den // g, groups
+
+    def _step(self, sigma: str, state: State) -> tuple[State, State]:
+        uses, n = self.uses, len(sigma)
+        zero, one, step, freshes = {}, {}, self.f.step, self.words[uses[n + 1] - uses[n]]
+        for s, count in state[2].items():
+            for fresh in freshes:
+                s0, s1 = step(sigma, s, fresh)
+                zero[s0] = zero.get(s0, 0) + count
+                one[s1] = one.get(s1, 0) + count
+        return self._mean(zero, n + 1), self._mean(one, n + 1)
 
 
 def averaged_martingale(f: TTFunctional, depth: int) -> TableMartingale:
-    """Exact average of M^tau(sigma) over the oracle prefixes of length
-    use(|sigma|), which M^tau reads; each group counts its prefixes."""
-    uses, step = f.uses(depth), f.step
-
-    def node(sigma, groups, freshes):
-        zero, one = {}, {}
-        for state, count in groups.items():
-            for fresh in freshes:
-                s0, s1 = step(sigma, state, fresh)
-                zero[s0] = zero.get(s0, 0) + count
-                one[s1] = one.get(s1, 0) + count
-        return zero, one
-
-    tree = _tree(f, uses, 1, node)  # checks the depth before the arrays are made
-    nums, dens = [None] * ((2 << depth) - 1), [None] * ((2 << depth) - 1)
-    for sigma, groups in tree:
-        den = lcm(*(s[1] for s in groups))
-        num = sum(count * s[0] * (den // s[1]) for s, count in groups.items())
-        den <<= uses[len(sigma)]
-        g = gcd(num, den)
-        r = num_of(sigma)
-        nums[r], dens[r] = num // g, den // g
-    return TableMartingale(depth, nums, dens)
+    """:class:`AveragedMartingale` tabulated; a depth above GUARD raises
+    GuardExceeded before any step or table is made."""
+    n = AveragedMartingale(f, depth)
+    if depth > GUARD:
+        raise GuardExceeded(f"depth {depth} exceeds the enumeration guard {GUARD}")
+    return n.tabulate(depth)
 
 
 def exceed_set(f: TTFunctional, path: str, n: int) -> ClopenSet:
@@ -157,15 +148,15 @@ def exceed_set(f: TTFunctional, path: str, n: int) -> ClopenSet:
     their extensions to use(|path|); bounds need :func:`savings_functional`."""
     if n < 0:
         raise ValueError(f"exceed level must be a natural number, got {n}")
-    uses = f.uses(len(check_bits(path)))
-    threshold, groups, hits = 2**n + 1, {f.start: [""]}, []
+    uses, words = f.levels(len(check_bits(path)))
+    threshold, groups, hits = 2**n + 1, {f.start: list(all_strings(uses[0]))}, []
     for i in range(len(path) + 1):
         for state in [s for s in groups if s[0] > threshold * s[1]]:
             hits += (t + r for t in groups.pop(state) for r in all_strings(uses[-1] - uses[i]))
         if i < len(path):
             grown: dict[State, list[str]] = {}
             for state, taus in groups.items():
-                for fresh in all_strings(uses[i + 1] - uses[i]):
+                for fresh in words[uses[i + 1] - uses[i]]:
                     child = f.step(path[:i], state, fresh)[path[i] == "1"]
                     grown.setdefault(child, []).extend(tau + fresh for tau in taus)
             groups = grown
@@ -177,15 +168,17 @@ def functional_validate(f: TTFunctional, depth: int) -> list[str]:
     oracle prefix that reaches the state.  A step sees only its fresh bits, so
     the use bound holds by construction; a non-monotone one is reported."""
     try:
-        uses = f.uses(depth)
+        uses, words = f.levels(depth)
     except UseNotMonotone as exc:
         return [str(exc)]
+    if depth > GUARD:
+        raise GuardExceeded(f"depth {depth} exceeds the enumeration guard {GUARD}")
     violations: list[str] = []
 
-    def node(sigma, groups, freshes):
-        zero, one, r = {}, {}, num_of(sigma)
+    def node(sigma, groups):
+        zero, one, r, n = {}, {}, num_of(sigma), len(sigma)
         for state, tau in groups.items():
-            for fresh in freshes:
+            for fresh in words[uses[n + 1] - uses[n]]:
                 s0, s1 = f.step(sigma, state, fresh)
                 bad = unfair(r, *state[:2], *s0[:2], *s1[:2])
                 if bad:
@@ -194,9 +187,9 @@ def functional_validate(f: TTFunctional, depth: int) -> list[str]:
                 one.setdefault(s1, tau + fresh)
         return zero, one
 
-    for sigma, groups in _tree(f, uses, "", node):
+    for r, _, groups in tree({f.start: "0" * uses[0]}, node, depth):
         violations += [
-            f"oracle {tau or '-'}: {negative(num_of(sigma), *state[:2])}"
+            f"oracle {tau or '-'}: {negative(r, *state[:2])}"
             for state, tau in groups.items()
             if state[0] < 0
         ]

@@ -187,6 +187,8 @@ class TestBadInputLines:
             (["engulf", "--j", "0"], b"[level 0]\n-\n# \xc3\xa9\n", 3, "non-ASCII byte 0xc3"),
             (["engulf", "--j", "0"], b"[level 0]\n-\n[lvl 1]\n", 3, "bad section '[lvl 1]'"),
             (["engulf", "--j", "0"], b"[level 0]\n-\n[level x]\n", 3, "bad level index"),
+            (["engulf", "--j", "0"], b"[level 0]\n-\n[level 0_0]\n", 3, "bad level index"),
+            (["engulf", "--j", "0"], b"[level 0]\n-\n[level +1]\n", 3, "bad level index"),
             (["engulf", "--j", "0"], b"[level 0]\n-\n[level 2]\n", 3,
              "expected level 1, got 2"),
             (["engulf", "--j", "0"], b"# rows\n0\n[level 0]\n", 2,
@@ -196,7 +198,8 @@ class TestBadInputLines:
         ],
         ids=["table-token", "table-byte", "table-decimal", "table-zero-denominator",
              "table-duplicate", "table-fields", "clopen-token", "clopen-byte",
-             "kurtz-token", "kurtz-byte", "kurtz-section", "kurtz-index", "kurtz-order",
+             "kurtz-token", "kurtz-byte", "kurtz-section", "kurtz-index", "kurtz-index-underscore",
+             "kurtz-index-sign", "kurtz-order",
              "kurtz-orphan", "param-token", "param-byte"],
     )
     def test_exits_2_at_the_line(self, capsys, tmp_path, command, text, lineno, message):
@@ -414,6 +417,32 @@ class TestOtherCommands:
             "--depth", "6", "--n", "2",
         )
         assert code == 0 and "measure:" in out and "bound: 1/2" in out
+
+    def test_exceed_steps_only_the_default_path(self, capsys, monkeypatch):
+        # the default path is the adversary of the average, found one node per
+        # level without the 2^(d+1) - 1 node table
+        from recmeasure import oracle
+
+        calls = []
+
+        def step(sigma, state, fresh):
+            calls.append(sigma)
+            return oracle.coincidence_step(sigma, state, fresh)
+
+        def table(f, depth):
+            raise AssertionError("exceed tabulated the average")
+
+        monkeypatch.setitem(oracle.BUILTIN_KERNELS, "coincidence",
+                            lambda: oracle.TTFunctional("coincidence", lambda n: n, (1, 1), step))
+        monkeypatch.setattr(oracle, "averaged_martingale", table)
+        code, out = run_cli(capsys, "exceed", "--kernel", "coincidence", "--depth", "12", "--n", "3")
+        assert code == 0 and "path: 000000000000\n" in out
+        assert 0 < len(calls) < 1000
+
+    def test_exceed_default_path_past_the_guard_depth(self, capsys):
+        # one path of depth 21 is stepped, not a tree, so only the use is capped
+        code, out = run_cli(capsys, "exceed", "--kernel", "constant", "--depth", "21", "--n", "1")
+        assert code == 0 and f"path: {'0' * 21}\n" in out and "measure: 0/1" in out
 
     def test_engulf(self, capsys, tmp_path):
         row = tmp_path / "row.txt"

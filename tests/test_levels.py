@@ -29,6 +29,7 @@ from recmeasure.martingale import (
 from recmeasure.nulltests import normalize
 from recmeasure.oracle import (
     BUILTIN_KERNELS,
+    AveragedMartingale,
     TTFunctional,
     averaged_martingale,
     exceed_set,
@@ -504,6 +505,39 @@ class TestMergedEngineMatchesEnumeration:
                 v = capitals(tau, sigma)[-1]
                 assert 2 * v != capitals(tau, sigma + "0")[-1] + capitals(tau, sigma + "1")[-1]
         assert got == expected
+
+
+class TestAveragedMartingaleMatchesTable:
+    """The average stepped along one path agrees with the tabulated average."""
+
+    @staticmethod
+    def check(f, depth, path):
+        n, table = AveragedMartingale(f, depth), averaged_martingale(f, depth)
+        assert n.walk(path) == table.walk(path)
+        assert adversary_sequence(n, depth) == adversary_sequence(table, depth)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BUILTIN_KERNELS)),
+        depth=st.integers(0, 7),
+        data=st.data(),
+    )
+    def test_builtin_kernels(self, name, depth, data):
+        f = BUILTIN_KERNELS[name](2) if name == "prefix-coincidence" else BUILTIN_KERNELS[name]()
+        self.check(f, depth, data.draw(st.text("01", max_size=depth)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        widths=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+        mode=st.sampled_from(["value", "parity", "prefix"]),
+        initial=st.sampled_from([1, 2, -1]),
+        data=st.data(),
+    )
+    def test_random_functionals(self, seed, widths, mode, initial, data):
+        f, _ = random_functional(seed, widths, mode, initial)
+        depth = len(widths)
+        self.check(f, depth, data.draw(st.text("01", max_size=depth)))
 
 
 class TestDeepQueries:

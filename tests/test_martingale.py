@@ -10,8 +10,10 @@ from recmeasure.martingale import (
     all_strings,
     capital_trace,
     load_table,
+    tree,
     validate,
 )
+from recmeasure.codec import num_of
 from recmeasure.strategies import coincidence_martingale, pair_doubling_martingale
 
 from conftest import random_strategy_martingale, rank_arrays, strings_up_to
@@ -80,6 +82,32 @@ class TestEvaluate:
     def test_out_of_depth_query_errors(self):
         with pytest.raises(ValueError):
             constant_one(2).value("000")
+
+
+class TestTree:
+    def test_every_rank_once_in_pre_order(self):
+        # a state here is its own string, so each yield can be checked against sigma
+        events = []
+
+        def step(sigma, state):
+            events.append(("step", sigma))
+            return state + "0", state + "1"
+
+        walked = []
+        for r, sigma, state in tree("", step, 4):
+            events.append(("yield", sigma))
+            walked.append((r, sigma, state))
+        # sorting strings puts a prefix before its extensions and "0" before "1"
+        pre_order = sorted(strings_up_to(4))
+        assert [sigma for _, sigma, _ in walked] == pre_order
+        assert [r for r, _, _ in walked] == [num_of(sigma) for sigma in pre_order]
+        assert sorted(r for r, _, _ in walked) == list(range(31))
+        assert all(state == sigma for _, sigma, state in walked)
+        # each inner node is stepped once, right after its own yield
+        assert events == [
+            event for sigma in pre_order
+            for event in [("yield", sigma)] + [("step", sigma)] * (len(sigma) < 4)
+        ]
 
 
 class TestTrace:

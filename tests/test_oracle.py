@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from recmeasure.martingale import all_strings, validate
+from recmeasure.martingale import all_strings, capital_trace, validate
+from recmeasure.nulltests import normalize
 from recmeasure.oracle import (
     BUILTIN_KERNELS,
     GUARD,
@@ -207,3 +208,54 @@ class TestExceedSet:
                     if v > 2**level + 1:
                         exceeded = True
                 assert exceeded
+
+
+class TestRootUse:
+    """A kernel that reads oracle bits before its first bet, use(0) > 0, is
+    averaged, exceeded and validated over oracle prefixes of length use(0) at
+    the root, as brute force over its factory is."""
+
+    @pytest.mark.parametrize("u0", [0, 1, 2])
+    def test_average_and_exceed_match_enumeration(self, u0):
+        f = TTFunctional(f"shift{u0}", lambda n: n + u0, (1, 1), coincidence_step)
+        depth = 3
+        n = averaged_martingale(f, depth)
+        for sigma in strings_up_to(depth):
+            assert n.value(sigma) == brute_force_average(f, sigma, depth), sigma
+        oracles = list(all_strings(u0 + depth))
+        for path, level in itertools.product(["000", "011", "101"], [0, 1]):
+            hits = [
+                tau for tau in oracles
+                if max(capital_trace(f.factory(tau, depth), path)) > 2**level + 1
+            ]
+            ex = exceed_set(f, path, level)
+            assert ex.sorted_generators() == normalize(hits).sorted_generators(), (path, level)
+
+    @pytest.mark.parametrize("u0", [0, 1, 2])
+    def test_validation_witnesses_have_the_use_length(self, u0):
+        def step(sigma, state, fresh):
+            zero, one = coincidence_step(sigma, state, fresh)
+            if sigma == "0" and fresh == "1":
+                one = (one[0] + 1, one[1])  # breaks 2*M(0) = M(00) + M(01)
+            if sigma == "1":
+                num, den = state
+                zero, one = (3 * num, den), (-num, den)  # fair, but negative below "1"
+            return zero, one
+
+        f = TTFunctional(f"faulty{u0}", lambda n: n + u0, (1, 1), step)
+        depth = 3
+        violations = functional_validate(f, depth)
+        kinds = set()
+        for message in violations:
+            witness, kind, at = re.match(
+                r"oracle ([01]*|-): (negative value|averaging violated)\b.*? at '([01]*)'",
+                message).groups()
+            kinds.add(kind)
+            tau = witness.strip("-")
+            m = f.factory(tau.ljust(u0 + depth, "0"), depth)
+            if kind == "negative value":
+                assert len(tau) == u0 + len(at) and m.value(at) < 0, message
+            else:
+                assert len(tau) == u0 + len(at) + 1, message
+                assert 2 * m.value(at) != m.value(at + "0") + m.value(at + "1"), message
+        assert kinds == {"negative value", "averaging violated"}
