@@ -64,27 +64,21 @@ def _show(sigma: str) -> str:
     return sigma if sigma else "-"
 
 
-def _strategy_martingale(args) -> martingale.Martingale:
-    from . import strategies
-    if args.strategy == "coincidence":
-        if args.ref is None:
-            raise ValueError("--strategy coincidence requires --ref")
-        return strategies.coincidence_martingale(args.ref)
-    if args.strategy == "pair-doubling":
-        if args.depth is None:
-            raise ValueError("--strategy pair-doubling requires --depth")
-        return strategies.pair_doubling_martingale(args.depth)
-    raise ValueError(f"unknown strategy {args.strategy!r}")
-
-
 def _input_martingale(args) -> martingale.Martingale:
     from . import martingale
     if args.table is not None and args.strategy is not None:
         raise ValueError("give either a table file or --strategy, not both")
     if args.table is not None:
         return martingale.load_table(args.table)
-    if args.strategy is not None:
-        return _strategy_martingale(args)
+    from . import strategies
+    if args.strategy == "coincidence":
+        if args.ref is None:
+            raise ValueError("--strategy coincidence requires --ref")
+        return strategies.coincidence_martingale(codec.read_bits(args.ref))
+    if args.strategy == "pair-doubling":
+        if args.depth is None:
+            raise ValueError("--strategy pair-doubling requires --depth")
+        return strategies.pair_doubling_martingale(args.depth)
     raise ValueError("give a table file or --strategy")
 
 
@@ -98,7 +92,7 @@ def _functional(args) -> oracle.TTFunctional:
 def cmd_codec(args) -> tuple[list[Result], list[str]]:
     results: list[Result] = []
     if args.num is not None:
-        sigma = "" if args.num == "-" else args.num
+        sigma = codec.read_bits(args.num)
         results.append((f"num({_show(sigma)})", fmt(codec.num_of(sigma))))
     if args.str is not None:
         results.append((f"str({args.str})", _show(codec.str_of(args.str))))
@@ -138,7 +132,7 @@ def cmd_validate(args) -> tuple[list[Result], list[str]]:
 def cmd_trace(args) -> tuple[list[Result], list[str]]:
     from . import martingale
     m = _input_martingale(args)
-    path = "" if args.path == "-" else args.path
+    path = codec.read_bits(args.path)
     trace = martingale.capital_trace(m, path)
     return [
         (f"M({_show(path[:i])})", fmt(v)) for i, v in enumerate(trace)
@@ -180,7 +174,7 @@ def cmd_exceed(args) -> tuple[list[Result], list[str]]:
     from . import oracle, strategies
     f = _functional(args)
     if args.path is not None:
-        path = "" if args.path == "-" else args.path
+        path = codec.read_bits(args.path)
         if len(path) != args.depth:
             raise ValueError(f"--path has length {len(path)}, not --depth {args.depth}")
     else:
@@ -260,7 +254,7 @@ def cmd_param(args) -> tuple[list[Result], list[str]]:
     if args.halve:
         results += [(f"row_{i}", row) for i, row in enumerate(p.rows)]
     if args.target is not None:
-        report = param.io_match_report(p, args.target)
+        report = param.io_match_report(p, codec.read_bits(args.target))
         results += [
             (f"row_{i}", f"consistent={fmt(ok)} hits={h}")
             for i, (ok, h) in enumerate(report)
@@ -295,19 +289,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=natural)
     p.set_defaults(handler=cmd_validate)
 
+    def add_input_options(p):
+        p.add_argument("table", nargs="?")
+        p.add_argument("--strategy", choices=["coincidence", "pair-doubling"])
+        p.add_argument("--ref", help="reference word for the coincidence strategy")
+        p.add_argument("--depth", type=natural, help="depth for the pair-doubling strategy")
+
     p = sub.add_parser("trace", help="capital trace along a path")
-    p.add_argument("table", nargs="?")
-    p.add_argument("--strategy", choices=["coincidence", "pair-doubling"])
-    p.add_argument("--ref", help="reference word for the coincidence strategy")
-    p.add_argument("--depth", type=natural, help="depth for the pair-doubling strategy")
+    add_input_options(p)
     p.add_argument("--path", required=True, help="path to trace ('-' for the empty path)")
     p.set_defaults(handler=cmd_trace)
 
     p = sub.add_parser("adversary", help="greedy nonincreasing path")
-    p.add_argument("table", nargs="?")
-    p.add_argument("--strategy", choices=["coincidence", "pair-doubling"])
-    p.add_argument("--ref")
-    p.add_argument("--depth", type=natural)
+    add_input_options(p)
     p.add_argument("--length", type=natural)
     p.set_defaults(handler=cmd_adversary)
 

@@ -57,18 +57,14 @@ class Martingale:
     def _step(self, sigma: str, state: State) -> tuple[State, State]:
         raise NotImplementedError
 
-    def _states(self, path: str) -> Iterator[State]:
-        """The state at every prefix of ``path``, the empty prefix first."""
-        self._check_query(path)
-        state = self.start
-        yield state
-        for n, bit in enumerate(path):
-            state = self._step(path[:n], state)[bit == "1"]
-            yield state
-
     def walk(self, path: str) -> list[tuple[int, int]]:
         """Exact capital at every prefix of ``path`` as (numerator, denominator)."""
-        return [state[:2] for state in self._states(path)]
+        if len(check_bits(path)) > self.depth:
+            raise ValueError(f"query {excerpt(path)} exceeds martingale depth {self.depth}")
+        states = [self.start]
+        for n, bit in enumerate(path):
+            states.append(self._step(path[:n], states[-1])[bit == "1"])
+        return [state[:2] for state in states]
 
     def value(self, sigma: str) -> Fraction:
         """Exact capital at ``sigma``."""
@@ -83,11 +79,6 @@ class Martingale:
         for r, _, state in tree(self.start, self._step, depth):
             nums[r], dens[r] = state[:2]
         return TableMartingale(depth, nums, dens)
-
-    def _check_query(self, sigma: str) -> None:
-        check_bits(sigma)
-        if len(sigma) > self.depth:
-            raise ValueError(f"query {excerpt(sigma)} exceeds martingale depth {self.depth}")
 
     def _check_depth(self, depth: int) -> None:
         if depth < 0:

@@ -26,10 +26,6 @@ def _minimal(words: Iterable[str]) -> list[str]:
     return kept
 
 
-def _is_antichain(strings: frozenset[str]) -> bool:
-    return len(_minimal(strings)) == len(strings)
-
-
 class ClopenSet:
     """The clopen set generated by an antichain of binary strings."""
 
@@ -43,7 +39,7 @@ class ClopenSet:
         """Reject generators that are not binary strings or not an antichain."""
         for g in self.generators:
             check_bits(g)
-        if not _is_antichain(self.generators):
+        if len(_minimal(self.generators)) != len(self.generators):
             raise ValueError("generators must form an antichain")
 
     def measure(self) -> Fraction:
@@ -94,15 +90,6 @@ def engulf_transform(rows: Sequence[Sequence[ClopenSet]], j: int) -> tuple[Clope
     return f_j, bound
 
 
-def _check_term_comparison(e: int, n: int, size: int) -> None:
-    # integerized form of the comparison chain bounding the n-th factor
-    if n >= e + 2 and 2**size > 64 * (e + 1) ** 2 * (n + 1):
-        raise RuntimeError(
-            f"interval size comparison failed at e={e}, n={n}: "
-            f"2^{size} > 64*(e+1)^2*(n+1)"
-        )
-
-
 def dnr_cover_product(e: int, n_max: int) -> list[Fraction]:
     """Partial products prod_{n<=N} (1 - 2^-|I_{s(e,n)}|) for N = 0..n_max.
 
@@ -115,7 +102,12 @@ def dnr_cover_product(e: int, n_max: int) -> list[Fraction]:
     product = Fraction(1)
     for n in range(n_max + 1):
         size = logpart_size(s_index(e, n))
-        _check_term_comparison(e, n, size)
+        # integerized form of the comparison chain bounding the n-th factor
+        if n >= e + 2 and 2**size > 64 * (e + 1) ** 2 * (n + 1):
+            raise RuntimeError(
+                f"interval size comparison failed at e={e}, n={n}: "
+                f"2^{size} > 64*(e+1)^2*(n+1)"
+            )
         product *= 1 - Fraction(1, 2**size)
         partials.append(product)
     return partials

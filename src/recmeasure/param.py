@@ -12,15 +12,13 @@ from typing import Sequence
 
 from .codec import check_bits, read_lines
 
-Row = str
-
 
 class Parametrization:
     """Rows over ``012``, each of the first row's length ``depth``."""
 
     __slots__ = ("rows", "depth")
 
-    def __init__(self, rows: Sequence[Row]) -> None:
+    def __init__(self, rows: Sequence[str]) -> None:
         if not rows:
             raise ValueError("need at least one row")
         rows, depth = tuple(rows), len(rows[0])
@@ -32,7 +30,7 @@ class Parametrization:
         self.rows, self.depth = rows, depth
 
 
-def consistent(row: Row, target: str) -> bool:
+def consistent(row: str, target: str) -> bool:
     """True iff every non-abstaining entry matches the target bit."""
     check_bits(target)
     if len(target) < len(row):
@@ -40,7 +38,7 @@ def consistent(row: Row, target: str) -> bool:
     return all(p == "2" or p == a for p, a in zip(row, target))
 
 
-def hits(row: Row) -> int:
+def hits(row: str) -> int:
     """Number of positions where the row commits to a bit."""
     return len(row) - row.count("2")
 

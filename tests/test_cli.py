@@ -490,6 +490,73 @@ class TestOtherCommands:
         assert report["violations"] == []
 
 
+class TestWordOptions:
+    """Every word option reads its word as a table file does: ``-`` is the empty word."""
+
+    def test_trace_empty_ref(self, capsys):
+        argv = ["trace", "--strategy", "coincidence", "--ref", "-", "--path", "-"]
+        assert run_cli(capsys, *argv) == (0, "M(-): 1/1\n")
+
+    def test_adversary_empty_ref(self, capsys):
+        argv = ["adversary", "--strategy", "coincidence", "--ref", "-"]
+        assert run_cli(capsys, *argv) == (0, "adversary: -\nM(-): 1/1\n")
+
+    def test_param_empty_target(self, capsys, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("021\n222\n")
+        assert main(["param", str(path), "--target", "-"]) == 2
+        assert capsys.readouterr() == ("", "error: target must be at least as long as the row\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["codec", "--num", "0x1"],
+        ["trace", "--strategy", "pair-doubling", "--depth", "3", "--path", "0x1"],
+        ["trace", "--strategy", "coincidence", "--ref", "0x1", "--path", "-"],
+        ["adversary", "--strategy", "coincidence", "--ref", "0x1"],
+        ["exceed", "--kernel", "coincidence", "--depth", "3", "--n", "0", "--path", "0x1"],
+        ["param", "ROWS", "--target", "0x1"],
+    ], ids=["codec-num", "trace-path", "trace-ref", "adversary-ref", "exceed-path",
+            "param-target"])
+    def test_bad_word_exits_2(self, capsys, tmp_path, argv):
+        rows = tmp_path / "p.txt"
+        rows.write_text("021\n")
+        assert main([str(rows) if a == "ROWS" else a for a in argv]) == 2
+        assert capsys.readouterr() == ("", "error: not a binary string: '0x1'\n")
+
+
+class TestInputSelection:
+    """``trace`` and ``adversary`` take their martingale from one table file or one strategy."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("trace", ["--path", "0"]), ("adversary", []),
+    ], ids=["trace", "adversary"])
+    @pytest.mark.parametrize("choice, message", [
+        (["--strategy", "coincidence"], "--strategy coincidence requires --ref"),
+        (["--strategy", "pair-doubling"], "--strategy pair-doubling requires --depth"),
+        (["TABLE", "--strategy", "coincidence", "--ref", "0"],
+         "give either a table file or --strategy, not both"),
+        ([], "give a table file or --strategy"),
+    ], ids=["no-ref", "no-depth", "both", "neither"])
+    def test_exits_2_with_the_message(self, capsys, good_table_file, command, extra, choice,
+                                      message):
+        argv = [command, *[good_table_file if a == "TABLE" else a for a in choice], *extra]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+class TestPrefixCoincidenceKernel:
+    def test_average_output_is_pinned(self, capsys):
+        argv = ["average", "--kernel", "prefix-coincidence", "--prefix-length", "2", "--depth", "2"]
+        assert run_cli(capsys, *argv) == (0, "kernel: prefix-coincidence(2)\n" + "".join(
+            f"N({sigma}): 1/1\n" for sigma in ["-", "0", "1", "00", "01", "10", "11"]))
+
+    def test_exceed_output_is_pinned(self, capsys):
+        argv = ["exceed", "--kernel", "prefix-coincidence", "--prefix-length", "2",
+                "--depth", "3", "--n", "0"]
+        assert run_cli(capsys, *argv) == (0, (
+            "kernel: prefix-coincidence(2)\npath: 000\nlevel: 0\n"
+            "measure: 1/4\nbound: 2/1\nmember_0: 00\n"))
+
+
 CORPUS = [
     ["codec", "--num", "111011"],
     ["codec", "--str", "1000"],
@@ -500,7 +567,15 @@ CORPUS = [
     ["average", "--kernel", "savings-coincidence", "--depth", "4"],
     ["exceed", "--kernel", "savings-coincidence", "--depth", "5", "--n", "1"],
     ["dnr-cover", "--e", "2", "--n", "30"],
+    ["trace", "--strategy", "coincidence", "--ref", "-", "--path", "-"],
+    ["adversary", "--strategy", "coincidence", "--ref", "-"],
 ]
+
+
+def corpus_id(argv):
+    """The subcommand, marked when it bets against the empty reference word."""
+    empty_ref = "--ref" in argv and argv[argv.index("--ref") + 1] == "-"
+    return f"{argv[0]}-empty-ref" if empty_ref else argv[0]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -566,6 +641,11 @@ class TestImports:
         assert "recmeasure.martingale" in modules
         assert not modules & {"recmeasure.oracle", "recmeasure.nulltests",
                               "recmeasure.strategies", "recmeasure.param"}
+
+    def test_trace_table_loads_no_strategies(self, good_table_file):
+        modules, out = loaded_modules(["trace", good_table_file, "--path", "0"])
+        assert out == b"M(-): 1/1\nM(0): 3/2\n"
+        assert "recmeasure.martingale" in modules and "recmeasure.strategies" not in modules
 
     def test_param_loads_no_dataclasses_or_fractions(self, tmp_path):
         path = tmp_path / "rows.txt"
@@ -659,7 +739,7 @@ def run_subprocess(argv, hashseed):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("argv", CORPUS, ids=lambda a: a[0])
+    @pytest.mark.parametrize("argv", CORPUS, ids=corpus_id)
     def test_byte_identical_across_processes(self, argv):
         first = run_subprocess(argv, "0")
         second = run_subprocess(argv, "424242")

@@ -259,3 +259,39 @@ class TestRootUse:
                 assert len(tau) == u0 + len(at) + 1, message
                 assert 2 * m.value(at) != m.value(at + "0") + m.value(at + "1"), message
         assert kinds == {"negative value", "averaging violated"}
+
+
+# The built-in kernels that read the oracle only through "does the fresh bit
+# equal sigma's bit?".  Listed by hand: a later kernel that breaks the symmetry
+# is left out on purpose, not by failing here.
+XOR_SYMMETRIC = {
+    "constant": constant_functional(),
+    "coincidence": oracle_coincidence_functional(),
+    "prefix-coincidence(2)": prefix_coincidence_functional(2),
+    "savings-coincidence": savings_functional(oracle_coincidence_functional()),
+}
+
+
+def xor(a: str, b: str) -> str:
+    return "".join("01"[x != y] for x, y in zip(a, b, strict=True))
+
+
+class TestXorSymmetry:
+    """tau -> tau xor sigma maps the oracles at sigma onto those at 0^|sigma|
+    with the same capital, so the average is 1 everywhere, the default exceed
+    path is 0^d and the exceed measure does not depend on the path."""
+
+    @pytest.mark.parametrize("name", sorted(XOR_SYMMETRIC))
+    def test_capital_at_sigma_is_capital_at_zeros(self, name):
+        f = XOR_SYMMETRIC[name]
+        for sigma in strings_up_to(5):
+            u, zeros = f.use_bound(len(sigma)), "0" * len(sigma)
+            for tau in all_strings(u):
+                flipped = xor(tau, sigma[:u])
+                assert (f.factory(tau, len(sigma)).value(sigma)
+                        == f.factory(flipped, len(sigma)).value(zeros)), (sigma, tau)
+
+    @pytest.mark.parametrize("level, measure", [(1, Fraction(1, 8)), (2, Fraction(1, 64))])
+    def test_exceed_measure_is_one_value_over_all_paths(self, level, measure):
+        f = XOR_SYMMETRIC["savings-coincidence"]
+        assert {exceed_set(f, p, level).measure() for p in all_strings(8)} == {measure}
