@@ -169,6 +169,11 @@ def cmd_average(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_exceed(args) -> tuple[list[Result], list[str]]:
+    # the report prints 2/2^n in full; 2^n < 10^MAX_DIGITS keeps it to MAX_DIGITS digits
+    n_max = (10**codec.MAX_DIGITS).bit_length() - 1
+    if args.n > n_max:
+        raise ValueError(f"--n must be at most {n_max}, the largest n for which 2^n "
+                         f"has at most {codec.MAX_DIGITS} digits")
     from fractions import Fraction
 
     from . import oracle, strategies

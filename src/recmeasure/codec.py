@@ -143,16 +143,6 @@ def interval(family: str, m: int) -> range:
     raise ValueError(f"unknown family: {family!r}")
 
 
-def _largest_dyadic_below(x: Fraction) -> Fraction:
-    """Largest power of two that is <= x (x must be positive)."""
-    from fractions import Fraction
-    if x <= 0:
-        raise ValueError("x must be positive")
-    # for e the difference of the bit lengths, 2^(e-1) < x < 2^(e+1)
-    p = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length())
-    return p if p <= x else p / 2
-
-
 def budget_sequence(k: int) -> tuple[tuple[Fraction, ...], Fraction]:
     """Greedy prefix r_0..r_k of powers of two with weighted sum below 1/2, as
     (terms, remainder): sum_i (i+1)*terms[i] + remainder == 1/2 exactly.
@@ -163,10 +153,15 @@ def budget_sequence(k: int) -> tuple[tuple[Fraction, ...], Fraction]:
     from fractions import Fraction
     if k < 0:
         raise ValueError("k must be a natural number")
-    remainder = Fraction(1, 2)
-    terms: list[Fraction] = []
-    for i in range(k + 1):
-        r = _largest_dyadic_below(remainder / (2 * (i + 1)))
-        terms.append(r)
-        remainder -= (i + 1) * r
-    return tuple(terms), remainder
+    # every value is dyadic: the remainder is rem / 2^e and r_i is 1 / 2^t
+    rem, e, exponents = 1, 1, []
+    for m in range(1, k + 2):
+        # the least t with m / 2^t <= rem / 2^(e+1), i.e. rem * 2^t >= m * 2^(e+1);
+        # it is the bit-length difference (>= 0, as the remainder is below 2m) or one more
+        scaled = m << (e + 1)
+        t = scaled.bit_length() - rem.bit_length()
+        if rem << t < scaled:
+            t += 1
+        exponents.append(t)
+        rem, e = (rem << (t - e)) - m, t  # t >= e, as the terms never grow
+    return tuple(Fraction(1, 1 << t) for t in exponents), Fraction(rem, 1 << e)

@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 from recmeasure import cli
 from recmeasure.cli import main
-from recmeasure.codec import excerpt
+from recmeasure.codec import MAX_DIGITS, excerpt
 from recmeasure.nulltests import dnr_cover_product
 
 from conftest import table_file_text
@@ -443,6 +444,26 @@ class TestOtherCommands:
         # one path of depth 21 is stepped, not a tree, so only the use is capped
         code, out = run_cli(capsys, "exceed", "--kernel", "constant", "--depth", "21", "--n", "1")
         assert code == 0 and f"path: {'0' * 21}\n" in out and "measure: 0/1" in out
+
+    def test_exceed_n_limit_is_the_digit_limit(self):
+        # 2^14284 has at most MAX_DIGITS digits and 2^14285 has more
+        assert 2**14284 < 10**MAX_DIGITS <= 2**14285
+
+    def test_exceed_n_at_the_limit(self, capsys):
+        code, out = run_cli(capsys, "exceed", "--kernel", "coincidence", "--depth", "3",
+                            "--n", "14284")
+        assert code == 0 and f"bound: 1/{2**14283}\n" in out
+
+    @pytest.mark.parametrize("n", ["14285", "1000000000000"])
+    def test_exceed_n_above_the_limit_is_refused(self, capsys, n):
+        start = time.perf_counter()
+        assert main(["exceed", "--kernel", "coincidence", "--depth", "3", "--n", n]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --n must be at most 14284, the largest n for which 2^n has at most "
+            "4300 digits\n")
 
     def test_engulf(self, capsys, tmp_path):
         row = tmp_path / "row.txt"

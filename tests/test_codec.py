@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from recmeasure.codec import (
     FAMILIES,
-    _largest_dyadic_below,
     budget_sequence,
     check_bits,
     excerpt,
@@ -187,16 +186,27 @@ class TestBudget:
         for k in (0, 3, 11):
             assert budget_sequence(k)[0] == long[: k + 1]
 
-    @given(st.fractions(min_value=Fraction(1, 10**30), max_value=10**30))
-    def test_largest_dyadic_below(self, x):
-        p = _largest_dyadic_below(x)
-        assert p <= x < 2 * p
-        assert 1 in (p.numerator, p.denominator)
-        assert (p.numerator * p.denominator).bit_count() == 1
+    def test_matches_the_fraction_greedy_rule(self):
+        terms, remainders = reference_budget(1500)
+        for k in [*range(201), 1500]:
+            assert budget_sequence(k) == (tuple(terms[: k + 1]), remainders[k])
 
-    def test_largest_dyadic_below_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="x must be positive"):
-            _largest_dyadic_below(Fraction(0))
+
+def reference_budget(k: int) -> tuple[list[Fraction], list[Fraction]]:
+    """The greedy rule in plain Fraction arithmetic: the terms r_0..r_k and each
+    remainder after r_i, r_i the largest power of two <= remainder / (2(i+1))."""
+    remainder, r = Fraction(1, 2), Fraction(1)
+    terms, remainders = [], []
+    for i in range(k + 1):
+        x = remainder / (2 * (i + 1))
+        # the terms never grow, so the search starts at the last one
+        while r > x:
+            r /= 2
+        assert 2 * r > x
+        terms.append(r)
+        remainder -= (i + 1) * r
+        remainders.append(remainder)
+    return terms, remainders
 
 
 class TestReadRational:

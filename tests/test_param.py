@@ -168,6 +168,15 @@ def rows_and_targets(draw):
     return row, target
 
 
+@st.composite
+def tables_and_targets(draw):
+    depth = 2 * draw(st.integers(0, 40))
+    rows = draw(st.lists(st.text(alphabet="012", min_size=depth, max_size=depth),
+                         min_size=1, max_size=8))
+    target = draw(st.text(alphabet="01", min_size=depth, max_size=depth + 3))
+    return rows, target
+
+
 class TestMatchesTupleDefinitions:
     @given(rows_and_targets())
     def test_consistent_hits_halve(self, row_target):
@@ -177,3 +186,39 @@ class TestMatchesTupleDefinitions:
         assert hits(row) == tuple_hits(as_tuple)
         folded = halve_transform(Parametrization([row])).rows[0]
         assert folded == "".join(map(str, tuple_halve(as_tuple)))
+
+    @given(tables_and_targets())
+    def test_halve_and_report_on_tables(self, rows_target):
+        rows, target = rows_target
+        p = Parametrization(rows)
+        as_tuples = [tuple(int(c) for c in row) for row in rows]
+        assert halve_transform(p).rows == tuple(
+            "".join(map(str, tuple_halve(t))) for t in as_tuples)
+        assert io_match_report(p, target) == [
+            (tuple_consistent(t, target), tuple_hits(t)) for t in as_tuples]
+
+    def test_depth_zero(self):
+        p = Parametrization([""])
+        assert p.depth == 0
+        assert halve_transform(p).rows == ("",)
+        assert io_match_report(p, "") == io_match_report(p, "01") == [(True, 0)]
+
+    def test_target_longer_than_the_rows(self):
+        # only the first depth bits of the target are compared
+        p = Parametrization(["21", "02", "11"])
+        assert io_match_report(p, "0110") == [(True, 1), (True, 1), (False, 2)]
+
+    def test_report_rejects_a_bad_target(self):
+        p = Parametrization(["01", "22"])
+        with pytest.raises(ValueError, match="not a binary string"):
+            io_match_report(p, "0x")
+        with pytest.raises(ValueError, match="target must be at least as long as the row"):
+            io_match_report(p, "0")
+
+    @pytest.mark.parametrize("row", ["0\udc80", "0\u00e91", "0 1", ("0", "1"), b"01", 0],
+                             ids=["surrogate", "non-ascii", "space", "tuple", "bytes", "int"])
+    def test_rejects_a_row_outside_012(self, row):
+        with pytest.raises(ValueError, match=r"row symbols must be in \{0,1,2\}"):
+            Parametrization([row])
+        with pytest.raises(ValueError, match=r"row symbols must be in \{0,1,2\}"):
+            consistent(row, "0101")
