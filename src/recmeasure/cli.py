@@ -64,6 +64,11 @@ def _show(sigma: str) -> str:
     return sigma if sigma else "-"
 
 
+def _numbered(label: str, c) -> list[Result]:
+    """``label_i: word`` for the generators of the clopen set ``c``, shortest first."""
+    return [(f"{label}_{i}", _show(g)) for i, g in enumerate(c.sorted_generators())]
+
+
 def _input_martingale(args) -> martingale.Martingale:
     from . import martingale
     if args.table is not None and args.strategy is not None:
@@ -114,9 +119,11 @@ def cmd_codec(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_budget(args) -> tuple[list[Result], list[str]]:
+    from fractions import Fraction
     terms, remainder = codec.budget_sequence(args.k)
     results = [(f"r_{i}", fmt(r)) for i, r in enumerate(terms)]
-    results.append(("weighted_partial_sum", fmt(sum((i + 1) * r for i, r in enumerate(terms)))))
+    # budget_sequence guarantees sum_i (i+1)*r_i + remainder == 1/2
+    results.append(("weighted_partial_sum", fmt(Fraction(1, 2) - remainder)))
     results.append(("remainder", fmt(remainder)))
     return results, []
 
@@ -193,10 +200,7 @@ def cmd_exceed(args) -> tuple[list[Result], list[str]]:
         ("measure", fmt(mu)),
         ("bound", fmt(bound)),
     ]
-    results += [
-        (f"member_{i}", _show(g))
-        for i, g in enumerate(exceed.sorted_generators())
-    ]
+    results += _numbered("member", exceed)
     violations = []
     if mu > bound:
         violations.append(f"exceed-set measure {mu} above bound {bound}")
@@ -206,11 +210,7 @@ def cmd_exceed(args) -> tuple[list[Result], list[str]]:
 def cmd_measure(args) -> tuple[list[Result], list[str]]:
     from . import nulltests
     c = nulltests.load_clopen(args.file)
-    results: list[Result] = [("measure", fmt(c.measure()))]
-    results += [
-        (f"generator_{i}", _show(g)) for i, g in enumerate(c.sorted_generators())
-    ]
-    return results, []
+    return [("measure", fmt(c.measure())), *_numbered("generator", c)], []
 
 
 def cmd_engulf(args) -> tuple[list[Result], list[str]]:
@@ -218,13 +218,7 @@ def cmd_engulf(args) -> tuple[list[Result], list[str]]:
     rows = [nulltests.load_kurtz(p) for p in args.rows]
     f_j, bound = nulltests.engulf_transform(rows, args.j)
     mu = f_j.measure()
-    results: list[Result] = [
-        ("measure", fmt(mu)),
-        ("bound", fmt(bound)),
-    ]
-    results += [
-        (f"generator_{i}", _show(g)) for i, g in enumerate(f_j.sorted_generators())
-    ]
+    results = [("measure", fmt(mu)), ("bound", fmt(bound)), *_numbered("generator", f_j)]
     violations = []
     if mu > bound:
         violations.append(f"engulfed measure {mu} above bound {bound}")

@@ -6,7 +6,7 @@ Binary strings are plain ``str`` objects over the characters ``"0"`` and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -27,22 +27,27 @@ def check_bits(sigma: str) -> str:
     return sigma
 
 
-def read_lines(path) -> Iterator[tuple[int, str]]:
-    """The stripped lines of an ASCII text file, skipping blanks and ``#`` comments.
+def read_file(path, parse: Callable[[str], object]) -> list:
+    """``parse`` of each stripped line of an ASCII text file, skipping blanks
+    and ``#`` comments.
 
-    Yields ``(lineno, line)``; a reader reports a bad line as
-    ``path:lineno: ...``.  A non-ASCII byte raises ValueError at the line
-    that holds it.
+    A ValueError from ``parse``, or a non-ASCII byte, is raised once as
+    ``path:lineno: message``, so a parse function never sees a line number.
     """
+    parsed = []
     # surrogateescape keeps each undecodable byte on its own line, as U+DC80..U+DCFF
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
-            if not raw.isascii():
-                byte = next(ord(c) - 0xDC00 for c in raw if not c.isascii())
-                raise ValueError(f"{path}:{lineno}: non-ASCII byte {byte:#04x}")
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
+            try:
+                if not raw.isascii():
+                    byte = next(ord(c) - 0xDC00 for c in raw if not c.isascii())
+                    raise ValueError(f"non-ASCII byte {byte:#04x}")
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    parsed.append(parse(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return parsed
 
 
 def read_bits(token: str) -> str:

@@ -12,7 +12,7 @@ from math import gcd
 from numbers import Rational
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .codec import check_bits, excerpt, read_bits, read_lines, read_rational, str_of
+from .codec import check_bits, excerpt, read_bits, read_file, read_rational, str_of
 
 # Capital banked by the savings transform in units of 1; the working part is
 # kept strictly below this cap, so capital along a path never drops by more
@@ -255,19 +255,19 @@ def load_table(path) -> TableMartingale:
     """Read a martingale table file: one ``<bits|-> <value>`` per line, where a
     value is ``[+-]digits`` or ``[+-]digits/digits`` (see :func:`codec.read_rational`)."""
     ranked: dict[int, tuple[int, int]] = {}
-    for lineno, line in read_lines(path):
-        try:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError("expected '<string> <value>'")
-            sigma = read_bits(parts[0])
-            rank = (1 << len(sigma)) - 1 + int(sigma or "0", 2)  # num_of(sigma), checked once
-            value = read_rational(parts[1])
-            if rank in ranked:
-                raise ValueError(f"duplicate entry for {excerpt(parts[0])}")
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+    def parse(line: str) -> None:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError("expected '<string> <value>'")
+        sigma = read_bits(parts[0])
+        rank = (1 << len(sigma)) - 1 + int(sigma or "0", 2)  # num_of(sigma), checked once
+        value = read_rational(parts[1])
+        if rank in ranked:
+            raise ValueError(f"duplicate entry for {excerpt(parts[0])}")
         ranked[rank] = value
+
+    read_file(path, parse)
     if not ranked:
         raise ValueError(f"{path}: empty martingale table")
     depth = len(str_of(max(ranked)))

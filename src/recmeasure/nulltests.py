@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codec import check_bits, excerpt, is_digits, logpart_size, read_bits, read_lines, s_index
+from .codec import check_bits, excerpt, is_digits, logpart_size, read_bits, read_file, s_index
 
 
 def _minimal(words: Iterable[str]) -> list[str]:
@@ -125,37 +125,29 @@ def divergence_partial(e: int, n_max: int) -> Fraction:
 
 def load_clopen(path) -> ClopenSet:
     """Read a clopen set file: one generator per line, ``-`` for the root."""
-    words = []
-    for lineno, line in read_lines(path):
-        try:
-            words.append(read_bits(line))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return normalize(words)
+    return normalize(read_file(path, read_bits))
 
 
 def load_kurtz(path) -> tuple[ClopenSet, ...]:
     """Read a Kurtz test file, ``[level i]`` sections followed by generators,
     as its levels G_0..G_k."""
     levels: list[set[str]] = []
-    current: set[str] | None = None
-    for lineno, line in read_lines(path):
-        try:
-            if line.startswith("[") and line.endswith("]"):
-                header = line[1:-1].split()
-                if len(header) != 2 or header[0] != "level":
-                    raise ValueError(f"bad section {excerpt(line)}")
-                if not is_digits(header[1]):
-                    raise ValueError("bad level index")
-                index = int(header[1])
-                if index != len(levels):
-                    raise ValueError(f"expected level {len(levels)}, got {index}")
-                current = set()
-                levels.append(current)
-                continue
-            if current is None:
-                raise ValueError("generator before any [level i]")
-            current.add(read_bits(line))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+    def parse(line: str) -> None:
+        if line.startswith("[") and line.endswith("]"):
+            header = line[1:-1].split()
+            if len(header) != 2 or header[0] != "level":
+                raise ValueError(f"bad section {excerpt(line)}")
+            if not is_digits(header[1]):
+                raise ValueError("bad level index")
+            index = int(header[1])
+            if index != len(levels):
+                raise ValueError(f"expected level {len(levels)}, got {index}")
+            levels.append(set())
+        elif levels:
+            levels[-1].add(read_bits(line))
+        else:
+            raise ValueError("generator before any [level i]")
+
+    read_file(path, parse)
     return tuple(normalize(level) for level in levels)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .codec import check_bits, read_lines
+from .codec import check_bits, read_file
 
 # "2" coded as "3" makes the codes 0x30 < 0x31 < 0x33 a thermometer code: the
 # bitwise AND of two codes is the code of the smaller symbol
@@ -90,13 +90,16 @@ def io_match_report(p: Parametrization, target: str) -> list[tuple[bool, int]]:
 
 def load_parametrization(path) -> Parametrization:
     """Read a table file: one row per line over the alphabet {0,1,2}."""
-    rows = []
-    for lineno, line in read_lines(path):
+    rows: list[str] = []
+
+    def parse(line: str) -> None:
         if not _is_row(line):
-            raise ValueError(f"{path}:{lineno}: row must be over 0/1/2")
+            raise ValueError("row must be over 0/1/2")
+        if rows and len(line) != len(rows[0]):
+            raise ValueError("rows have differing lengths")
         rows.append(line)
+
+    read_file(path, parse)
     if not rows:
         raise ValueError(f"{path}: empty parametrization")
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError(f"{path}: rows have differing lengths")
     return Parametrization(rows)

@@ -16,7 +16,7 @@ from recmeasure.cli import main
 from recmeasure.codec import MAX_DIGITS, excerpt
 from recmeasure.nulltests import dnr_cover_product
 
-from conftest import table_file_text
+from conftest import strings_up_to, table_file_text
 
 
 def run_cli(capsys, *argv):
@@ -134,14 +134,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("", "empty parametrization"), ("012\n01\n", "rows have differing lengths")],
+        [("", ": empty parametrization"), ("012\n01\n", ":2: rows have differing lengths")],
         ids=["empty", "ragged"],
     )
     def test_bad_parametrization_names_file(self, capsys, tmp_path, text, message):
+        # an empty file has no bad line; a ragged row is named at its line
         path = tmp_path / "rows.txt"
         path.write_text(text)
         assert main(["param", str(path)]) == 2
-        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -196,18 +197,25 @@ class TestBadInputLines:
              "generator before any [level i]"),
             (["param"], b"012\n\n0x1\n", 3, "row must be over 0/1/2"),
             (["param"], b"012\n\x80\n", 2, "non-ASCII byte 0x80"),
+            (["param"], b"012\n\n01\n", 3, "rows have differing lengths"),
+            (["validate"], b"- 1\r\n0 3/2\r\n1 1/2 1\r\n", 3, "expected '<string> <value>'"),
+            (["measure"], b"0\n10\n1x", 3, "not a binary string: '1x'"),
+            (["engulf", "--j", "0"], b"# a\n  # b\n#\n[level 0]\n-\n[level 1]\n0;\n", 7,
+             "not a binary string: '0;'"),
         ],
         ids=["table-token", "table-byte", "table-decimal", "table-zero-denominator",
              "table-duplicate", "table-fields", "clopen-token", "clopen-byte",
              "kurtz-token", "kurtz-byte", "kurtz-section", "kurtz-index", "kurtz-index-underscore",
              "kurtz-index-sign", "kurtz-order",
-             "kurtz-orphan", "param-token", "param-byte"],
+             "kurtz-orphan", "param-token", "param-byte", "param-ragged", "table-crlf",
+             "clopen-no-final-newline", "kurtz-after-comments"],
     )
     def test_exits_2_at_the_line(self, capsys, tmp_path, command, text, lineno, message):
         path = tmp_path / "input.txt"
         path.write_bytes(text)
         assert main([command[0], str(path), *command[1:]]) == 2
-        assert f"error: {path}:{lineno}: {message}" in capsys.readouterr().err
+        # the whole stderr: one prefix, added once, and nothing else
+        assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
 
 
 NATURAL = "must be a natural number"
@@ -368,6 +376,16 @@ class TestOtherCommands:
         code, out = run_cli(capsys, "budget", "--k", "1")
         assert code == 0
         assert "r_0: 1/4" in out and "r_1: 1/16" in out and "remainder: 1/8" in out
+
+    def test_budget_weighted_sum_is_the_terms_sum(self, capsys):
+        # the CLI prints 1/2 - remainder; it must equal sum (i+1)*r_i of the printed terms
+        for k in [*range(201), 1500]:
+            code, out = run_cli(capsys, "budget", "--k", str(k))
+            values = dict(line.split(": ") for line in out.splitlines())
+            assert code == 0 and len(values) == k + 3
+            terms = [Fraction(values[f"r_{i}"]) for i in range(k + 1)]
+            expected = sum((i + 1) * r for i, r in enumerate(terms))
+            assert Fraction(values["weighted_partial_sum"]) == expected
 
     def test_budget_output_is_pinned(self, capsys):
         assert run_cli(capsys, "budget", "--k", "3") == (0, (
@@ -730,10 +748,16 @@ class TestBenchTracer:
 
         row = tmp_path / "row.txt"
         row.write_text("[level 0]\n-\n[level 1]\n0\n[level 2]\n00\n[level 3]\n000\n")
+        table = tmp_path / "table.txt"
+        table.write_text("".join(f"{sigma or '-'} 1\n" for sigma in strings_up_to(3)))
+        rows = tmp_path / "rows.txt"
+        rows.write_text("0120\n2211\n")
         runs = [["measure", clopen_file], ["average", "--kernel", "coincidence", "--depth", "3"],
                 ["engulf", str(row), str(row), "--j", "1"],
                 ["exceed", "--kernel", "savings-coincidence", "--depth", "4", "--n", "1",
-                 "--path", "0110"]]
+                 "--path", "0110"],
+                ["validate", str(table)], ["param", str(rows), "--target", "0111"],
+                ["budget", "--k", "5"]]
         untraced = [run_cli(capsys, *argv) for argv in runs]
         monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
         import tracing
@@ -746,8 +770,10 @@ class TestBenchTracer:
         finally:
             tracer.uninstall()
         assert traced == untraced
-        assert {"nulltests.antichain_check", "nulltests.engulf_transform",
-                "oracle.exceed_set"} <= {span[0] for span in tracer.spans}
+        assert {"nulltests.antichain_check", "nulltests.engulf_transform", "oracle.exceed_set",
+                "martingale.load_table", "param.load", "nulltests.load",
+                "codec.budget_sequence"} <= {span[0] for span in tracer.spans}
+        assert tracer.counts["martingale.load_table.lines"] == len(table.read_text().splitlines())
         assert nulltests.ClopenSet.__post_init__ is check
 
 
