@@ -236,10 +236,11 @@ def cmd_dnr_cover(args) -> tuple[list[Result], list[str]]:
         results.append(
             (f"divergence_partial_{args.n}", fmt(nulltests.divergence_partial(args.e, args.n)))
         )
+    # each factor 1 - 2^-size lies in [0, 1), so P_{i+1} >= P_i exactly when P_i <= 0
     violations = [
         f"partial product not strictly decreasing at n={i + 1}"
-        for i, (a, b) in enumerate(zip(partials, partials[1:]))
-        if b >= a
+        for i, p in enumerate(partials[:-1])
+        if p <= 0
     ]
     return results, violations
 

@@ -253,8 +253,15 @@ def capital_trace(m: Martingale, path: str) -> list[Fraction]:
 
 def load_table(path) -> TableMartingale:
     """Read a martingale table file: one ``<bits|-> <value>`` per line, where a
-    value is ``[+-]digits`` or ``[+-]digits/digits`` (see :func:`codec.read_rational`)."""
-    ranked: dict[int, tuple[int, int]] = {}
+    value is ``[+-]digits`` or ``[+-]digits/digits`` (see :func:`codec.read_rational`).
+
+    Each line is filed at its rank as it is read: ``nums`` and ``dens`` hold
+    ranks 0..len-1, and a rank past that prefix waits in ``ahead`` until the
+    prefix reaches it, so a file in rank order never fills ``ahead``.
+    """
+    nums: list[int] = []
+    dens: list[int] = []
+    ahead: dict[int, tuple[int, int]] = {}
 
     def parse(line: str) -> None:
         parts = line.split()
@@ -263,17 +270,23 @@ def load_table(path) -> TableMartingale:
         sigma = read_bits(parts[0])
         rank = (1 << len(sigma)) - 1 + int(sigma or "0", 2)  # num_of(sigma), checked once
         value = read_rational(parts[1])
-        if rank in ranked:
+        if rank < len(nums) or rank in ahead:
             raise ValueError(f"duplicate entry for {excerpt(parts[0])}")
-        ranked[rank] = value
+        if rank > len(nums):
+            ahead[rank] = value
+            return
+        nums.append(value[0])
+        dens.append(value[1])
+        while len(nums) in ahead:
+            num, den = ahead.pop(len(nums))
+            nums.append(num)
+            dens.append(den)
 
     read_file(path, parse)
-    if not ranked:
+    if not (nums or ahead):
         raise ValueError(f"{path}: empty martingale table")
-    depth = len(str_of(max(ranked)))
-    try:
-        # stops at the least missing rank, which is at most len(ranked)
-        nums, dens = zip(*[ranked[r] for r in range((2 << depth) - 1)])
-    except KeyError as exc:
-        raise ValueError(f"{path}: table is missing the string {str_of(exc.args[0])!r}") from None
+    depth = len(str_of(max(ahead, default=len(nums) - 1)))
+    # any rank in ahead lies past len(nums), the least missing rank
+    if len(nums) < (2 << depth) - 1:
+        raise ValueError(f"{path}: table is missing the string {str_of(len(nums))!r}")
     return TableMartingale(depth, nums, dens)

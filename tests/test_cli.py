@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from recmeasure import cli
+from recmeasure import cli, nulltests
 from recmeasure.cli import main
-from recmeasure.codec import MAX_DIGITS, excerpt
+from recmeasure.codec import MAX_DIGITS, excerpt, logpart_size, s_index
 from recmeasure.nulltests import dnr_cover_product
 
 from conftest import strings_up_to, table_file_text
@@ -495,6 +495,21 @@ class TestOtherCommands:
     def test_dnr_cover(self, capsys):
         code, out = run_cli(capsys, "dnr-cover", "--e", "0", "--n", "0")
         assert code == 0 and "P_0: 7/8" in out
+
+    def test_dnr_cover_violations_match_a_fraction_scan(self, capsys, monkeypatch):
+        # a size-0 interval makes the factor 0 at n = 3, so P_4..P_6 stop decreasing
+        zero_at = s_index(1, 3)
+        monkeypatch.setattr(
+            nulltests, "logpart_size", lambda m: 0 if m == zero_at else logpart_size(m))
+        partials = dnr_cover_product(1, 6)
+        expected = [
+            f"violation: partial product not strictly decreasing at n={i + 1}"
+            for i, (a, b) in enumerate(zip(partials, partials[1:]))
+            if b >= a
+        ]
+        code, out = run_cli(capsys, "dnr-cover", "--e", "1", "--n", "6")
+        assert code == 1 and len(expected) == 3
+        assert [line for line in out.splitlines() if line.startswith("violation:")] == expected
 
     def test_dnr_cover_past_the_int_digit_limit(self, capsys):
         code, out = run_cli(capsys, "dnr-cover", "--e", "3", "--n", "900")

@@ -1,6 +1,10 @@
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recmeasure.martingale import (
     SAVINGS_DROP_BOUND,
@@ -218,3 +222,73 @@ class TestTableIO:
         path.write_text("- 1\n0 1\n")
         with pytest.raises(ValueError):
             load_table(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), depth=st.integers(0, 4), data=st.data())
+    def test_any_line_order_loads_alike(self, tmp_path_factory, seed, depth, data):
+        rng = random.Random(seed)
+        size = (2 << depth) - 1
+        nums = tuple(rng.randint(-9, 99) for _ in range(size))
+        dens = tuple(rng.randint(1, 9) for _ in range(size))
+        lines = [
+            f"{sigma or '-'} {num}/{den}"
+            for sigma, num, den in zip(strings_up_to(depth), nums, dens)
+        ]
+        shuffled = data.draw(st.permutations(lines))
+        folder = tmp_path_factory.mktemp("table")
+        (folder / "ranked.txt").write_text("\n".join(lines) + "\n")
+        (folder / "shuffled.txt").write_text("\n".join(shuffled) + "\n")
+        ranked, loaded = load_table(folder / "ranked.txt"), load_table(folder / "shuffled.txt")
+        assert ranked.depth == loaded.depth == depth
+        assert ranked.nums == loaded.nums == nums and ranked.dens == loaded.dens == dens
+
+    @pytest.mark.parametrize(
+        "text, lineno, word",
+        [
+            ("- 1\n1 1\n0 1\n1 2\n", 4, "1"),  # rank 2 filed from ahead
+            ("- 1\n1 1\n00 1\n1 2\n", 4, "1"),  # rank 2 still waiting in ahead
+        ],
+        ids=["drained", "ahead"],
+    )
+    def test_duplicate_named_at_its_line(self, tmp_path, text, lineno, word):
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_table(path)
+        assert str(exc.value) == f"{path}:{lineno}: duplicate entry for {word!r}"
+
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            ("- 1\n1 1\n", "0"),  # rank 2 waits for rank 1
+            ("00 1\n- 1\n1 1\n", "0"),  # ranks 2 and 3 wait for rank 1
+            ("- 1\n0 1\n1 1\n00 1\n", "01"),  # the file stops short of depth 2
+            ("0 1\n", ""),
+        ],
+    )
+    def test_least_missing_string_named(self, tmp_path, text, missing):
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_table(path)
+        assert str(exc.value) == f"{path}: table is missing the string {missing!r}"
+
+    def test_rank_ordered_load_peak_memory(self, tmp_path):
+        # filed at its rank as read, an entry costs its two ints and their
+        # array slots, about 90 B here; the bound leaves no room for a dict
+        # entry and a tuple per line as well
+        depth, rng = 12, random.Random(12)
+        lines = [
+            f"{sigma or '-'} {rng.randrange(1, 10**6)}/{rng.randrange(1, 10**6)}"
+            for sigma in strings_up_to(depth)
+        ]
+        path = tmp_path / "t.txt"
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            m = load_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.depth == depth
+        assert peak < 128 * len(lines)
