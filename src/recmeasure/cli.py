@@ -227,21 +227,13 @@ def cmd_engulf(args) -> tuple[list[Result], list[str]]:
 
 def cmd_dnr_cover(args) -> tuple[list[Result], list[str]]:
     from . import nulltests
-    partials = nulltests.dnr_cover_product(args.e, args.n)
-    results: list[Result] = [
-        ("P_0", fmt(partials[0])),
-        (f"P_{args.n}", fmt(partials[-1])),
-    ]
+    first, last, nonpositive = nulltests.dnr_cover_product(args.e, args.n)
+    results: list[Result] = [("P_0", fmt(first)), (f"P_{args.n}", fmt(last))]
     if args.n >= args.e + 2:
         results.append(
             (f"divergence_partial_{args.n}", fmt(nulltests.divergence_partial(args.e, args.n)))
         )
-    # each factor 1 - 2^-size lies in [0, 1), so P_{i+1} >= P_i exactly when P_i <= 0
-    violations = [
-        f"partial product not strictly decreasing at n={i + 1}"
-        for i, p in enumerate(partials[:-1])
-        if p <= 0
-    ]
+    violations = [f"partial product not strictly decreasing at n={i + 1}" for i in nonpositive]
     return results, violations
 
 
@@ -344,13 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def render(report: dict, as_json: bool) -> str:
+def write_report(report: dict, as_json: bool) -> None:
+    """Write the report to stdout, in text mode one line at a time."""
     if as_json:
         import json
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    lines = [f"{label}: {value}" for label, value in report["results"]]
-    lines += [f"violation: {v}" for v in report["violations"]]
-    return "\n".join(lines) + "\n"
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        return
+    sys.stdout.writelines(f"{label}: {value}\n" for label, value in report["results"])
+    sys.stdout.writelines(f"violation: {v}\n" for v in report["violations"])
 
 
 def main(argv=None) -> int:
@@ -367,18 +360,18 @@ def main(argv=None) -> int:
             for k, v in sorted(vars(args).items())
             if k not in ("handler", "json") and v is not None
         }
+        # an error while writing, such as MemoryError, exits 2 like one in the handler
         try:
             results, violations = args.handler(args)
+            write_report({
+                "command": args.command,
+                "inputs": {k: str(v) for k, v in inputs.items()},
+                "results": results,
+                "violations": violations,
+            }, args.json)
         except (ValueError, OSError, KeyError, RuntimeError, MemoryError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return EXIT_BAD_INPUT
-        report = {
-            "command": args.command,
-            "inputs": {k: str(v) for k, v in inputs.items()},
-            "results": results,
-            "violations": violations,
-        }
-        sys.stdout.write(render(report, args.json))
         return EXIT_VIOLATION if violations else EXIT_OK
     finally:
         if limit is not None:

@@ -46,9 +46,9 @@ class Martingale:
 
     A subclass gives the state at the empty string as ``start`` and the
     states of ``sigma+"0"`` and ``sigma+"1"`` from the state at ``sigma`` as
-    ``_step``; every evaluation is derived from these two: ``walk`` and
-    ``value`` along one path, ``tabulate`` as a :class:`TableMartingale`,
-    the one form that holds many values at once.
+    ``_step``; every evaluation is derived from these two: ``walk`` along
+    one path, ``tabulate`` as a :class:`TableMartingale`, the one form that
+    holds many values at once.
     """
 
     depth: int
@@ -65,10 +65,6 @@ class Martingale:
         for n, bit in enumerate(path):
             states.append(self._step(path[:n], states[-1])[bit == "1"])
         return [state[:2] for state in states]
-
-    def value(self, sigma: str) -> Fraction:
-        """Exact capital at ``sigma``."""
-        return Fraction(*self.walk(sigma)[-1])
 
     def tabulate(self, depth: int) -> TableMartingale:
         """The exact values of every string of length <= depth as a table, each
@@ -175,7 +171,12 @@ def _bank(saved: int, active: int, den: int) -> tuple[int, int]:
 
 
 def savings_start(base_start: State) -> State:
-    """The savings state over a base whose initial capital is at most 1."""
+    """The savings state over a base whose initial capital is at most 1.
+
+    The savings transform splits capital into a banked part, nondecreasing
+    along paths, and a working part that mirrors the base proportionally;
+    whenever the working part reaches 2, whole units move to the bank.
+    """
     num, den = base_start[:2]
     if num > den:
         raise ValueError("rescale the input so that its initial capital is <= 1")
@@ -198,23 +199,6 @@ def savings_step(state: State, children: tuple[State, State]) -> tuple[State, St
         c_saved, c_active = _bank(saved, grown * scale // w, c_den)
         out.append((c_saved * c_den + c_active, c_den, c_saved, child))
     return out[0], out[1]
-
-
-class SavingsMartingale(Martingale):
-    """Savings transform of a martingale.
-
-    Splits capital into a banked part (nondecreasing along paths) and a
-    working part that mirrors the underlying martingale proportionally;
-    whenever the working part reaches 2, whole units move to the bank.
-    """
-
-    def __init__(self, base: Martingale):
-        self.start = savings_start(base.start)
-        self.base = base
-        self.depth = base.depth
-
-    def _step(self, sigma: str, state: State) -> tuple[State, State]:
-        return savings_step(state, self.base._step(sigma, state[3]))
 
 
 def negative(rank: int, num: int, den: int) -> str:

@@ -90,15 +90,16 @@ def engulf_transform(rows: Sequence[Sequence[ClopenSet]], j: int) -> tuple[Clope
     return f_j, bound
 
 
-def dnr_cover_product(e: int, n_max: int) -> list[Fraction]:
-    """Partial products prod_{n<=N} (1 - 2^-|I_{s(e,n)}|) for N = 0..n_max.
+def dnr_cover_product(e: int, n_max: int) -> tuple[Fraction, Fraction, list[int]]:
+    """(P_0, P_{n_max}, [i < n_max : P_i <= 0]) for P_N = prod_{n<=N} (1 - 2^-|I_{s(e,n)}|).
 
-    Strictly decreasing and positive; each factor's interval size also
-    passes the integerized comparison against 64(e+1)^2(n+1).
+    One product is held at a time.  Every factor lies in [0, 1), so the list
+    holds each i with P_{i+1} >= P_i; each factor's interval size also passes
+    the integerized comparison against 64(e+1)^2(n+1).
     """
     if e < 0 or n_max < 0:
         raise ValueError("e and n_max must be natural numbers")
-    partials = []
+    nonpositive = []
     product = Fraction(1)
     for n in range(n_max + 1):
         size = logpart_size(s_index(e, n))
@@ -109,8 +110,11 @@ def dnr_cover_product(e: int, n_max: int) -> list[Fraction]:
                 f"2^{size} > 64*(e+1)^2*(n+1)"
             )
         product *= 1 - Fraction(1, 2**size)
-        partials.append(product)
-    return partials
+        if n == 0:
+            first = product
+        if product <= 0 and n < n_max:
+            nonpositive.append(n)
+    return first, product, nonpositive
 
 
 def divergence_partial(e: int, n_max: int) -> Fraction:

@@ -58,13 +58,6 @@ def _agrees(row: str, target: int) -> bool:
     return 1 not in (int.from_bytes(row.encode(), "big") ^ target).to_bytes(len(row), "big")
 
 
-def consistent(row: str, target: str) -> bool:
-    """True iff every non-abstaining entry matches the target bit."""
-    if not _is_row(row):
-        raise ValueError(f"row symbols must be in {{0,1,2}}: {row!r}")
-    return _agrees(row, _target_code(target, len(row)))
-
-
 def hits(row: str) -> int:
     """Number of positions where the row commits to a bit."""
     return len(row) - row.count("2")

@@ -6,7 +6,15 @@ from typing import Sequence
 
 import pytest
 
-from recmeasure.martingale import StrategyMartingale, all_strings
+from recmeasure.codec import logpart_size, s_index
+from recmeasure.martingale import (
+    Martingale,
+    StrategyMartingale,
+    all_strings,
+    savings_start,
+    savings_step,
+)
+from recmeasure.param import Parametrization, io_match_report
 
 
 def strings_up_to(depth: int):
@@ -25,6 +33,33 @@ def random_strategy_martingale(rng: random.Random, depth: int) -> StrategyMartin
         return choices[sigma]
 
     return StrategyMartingale(depth, Fraction(1), rule)
+
+
+class SavingsMartingale(Martingale):
+    """The savings transform of one martingale: the per-oracle reference that
+    ``oracle.savings_functional`` is checked against."""
+
+    def __init__(self, base: Martingale):
+        self.start = savings_start(base.start)
+        self.base = base
+        self.depth = base.depth
+
+    def _step(self, sigma: str, state):
+        return savings_step(state, self.base._step(sigma, state[3]))
+
+
+def consistent(row: str, target: str) -> bool:
+    """Whether every committed symbol of ``row`` matches ``target``, as ``param`` reports it."""
+    return io_match_report(Parametrization([row]), target)[0][0]
+
+
+def partial_products(e: int, n_max: int, size=logpart_size) -> list[Fraction]:
+    """Every P_N = prod_{n<=N} (1 - 2^-size(s(e,n))) for N = 0..n_max, by the definition."""
+    partials, product = [], Fraction(1)
+    for n in range(n_max + 1):
+        product *= 1 - Fraction(1, 2 ** size(s_index(e, n)))
+        partials.append(product)
+    return partials
 
 
 def table_file_text(

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from recmeasure.codec import budget_sequence, logpart_size, num_of, s_index, str_of
-from recmeasure.martingale import SavingsMartingale, all_strings, capital_trace, validate
+from recmeasure.martingale import all_strings, capital_trace, validate
 from recmeasure.oracle import (
     averaged_martingale,
     constant_functional,
@@ -20,14 +20,20 @@ from recmeasure.oracle import (
     prefix_coincidence_functional,
     savings_functional,
 )
-from recmeasure.param import Parametrization, consistent, halve_transform, hits
+from recmeasure.param import Parametrization, halve_transform, hits
 from recmeasure.strategies import (
     adversary_sequence,
     coincidence_martingale,
     pair_doubling_martingale,
 )
 
-from conftest import random_strategy_martingale, strings_up_to
+from conftest import (
+    SavingsMartingale,
+    consistent,
+    partial_products,
+    random_strategy_martingale,
+    strings_up_to,
+)
 from test_nulltests import check_avoidance_randomized
 from test_oracle import brute_force_average
 
@@ -77,13 +83,14 @@ def test_criterion_03_coincidence_capital():
     for path in all_strings(12):
         c = sum(a == b for a, b in zip(path, ref))
         w = 12 - c
-        assert m.value(path) == Fraction(3, 2) ** c * Fraction(1, 2) ** w
-    assert coincidence_martingale("000").value("001") == Fraction(9, 8)
+        assert capital_trace(m, path)[-1] == Fraction(3, 2) ** c * Fraction(1, 2) ** w
+    assert capital_trace(coincidence_martingale("000"), "001")[-1] == Fraction(9, 8)
     for n in range(3):
         # right on all but the first 3^n of 3^(n+1) bets: 3^c/2^t = (9/8)^(3^n)
         wrong, total = 3**n, 3 ** (n + 1)
         m = coincidence_martingale("0" * total)
-        assert m.value("1" * wrong + "0" * (total - wrong)) == Fraction(9, 8) ** (3**n)
+        path = "1" * wrong + "0" * (total - wrong)
+        assert capital_trace(m, path)[-1] == Fraction(9, 8) ** (3**n)
     for n in range(7):
         assert Fraction(3 ** (3 ** (n + 1) - 3**n), 2 ** (3 ** (n + 1))) == Fraction(
             9, 8
@@ -97,7 +104,7 @@ def test_criterion_04_adversary():
         m = random_strategy_martingale(rng, 10)
         trace = capital_trace(m, adversary_sequence(m, 10))
         assert all(b <= a for a, b in zip(trace, trace[1:]))
-        assert all(v <= m.value("") for v in trace)
+        assert all(v <= trace[0] for v in trace)
     report(4, "200 randomized martingales, nonincreasing adversary traces")
 
 
@@ -111,7 +118,7 @@ def test_criterion_05_averaged_equals_brute_force():
     for f, depth in functionals:
         n = averaged_martingale(f, depth)
         for sigma in strings_up_to(depth):
-            assert n.value(sigma) == brute_force_average(f, sigma, depth), f.name
+            assert capital_trace(n, sigma)[-1] == brute_force_average(f, sigma, depth), f.name
     report(5, f"{len(functionals)} kernels equal the double-sum oracle exactly")
 
 
@@ -162,9 +169,10 @@ def test_criterion_08_dnr_cover():
     from recmeasure.nulltests import dnr_cover_product
 
     for e in range(5):
-        partials = dnr_cover_product(e, 1000)
+        partials = partial_products(e, 1000)
         assert all(p > 0 for p in partials)
         assert all(b < a for a, b in zip(partials, partials[1:]))
+        assert dnr_cover_product(e, 1000) == (partials[0], partials[-1], [])
     for e in range(9):
         for n in range(e + 2, 1001):
             assert 2 ** logpart_size(s_index(e, n)) <= 64 * (e + 1) ** 2 * (n + 1)
@@ -208,7 +216,7 @@ def test_criterion_11_pair_doubling_and_q_transform():
             for i in range(500)
         ):
             doubled = all(path[2 * x] == path[2 * x + 1] for x in range(k))
-            assert m.value(path) == (2**k if doubled else 0)
+            assert capital_trace(m, path)[-1] == (2**k if doubled else 0)
     for half_depth in (1, 2, 3, 6):
         depth = 2 * half_depth
         for half_bits in itertools.product("01", repeat=half_depth):

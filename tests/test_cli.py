@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -14,9 +15,8 @@ import pytest
 from recmeasure import cli, nulltests
 from recmeasure.cli import main
 from recmeasure.codec import MAX_DIGITS, excerpt, logpart_size, s_index
-from recmeasure.nulltests import dnr_cover_product
 
-from conftest import strings_up_to, table_file_text
+from conftest import partial_products, strings_up_to, table_file_text
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +168,21 @@ class TestUncaughtErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {exc}\n"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "exc", [MemoryError(), BrokenPipeError(32, "Broken pipe")], ids=["memory", "pipe"])
+    def test_a_failed_write_exits_2(self, capsys, monkeypatch, json_flag, exc):
+        class FailingStdout:
+            def write(self, text):
+                raise exc
+
+            writelines = write
+
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        assert main([*json_flag, "dnr-cover", "--e", "0", "--n", "0"]) == 2
+        # a MemoryError raised by an allocation has no message; its name stands in
+        assert capsys.readouterr().err == f"error: {str(exc) or 'MemoryError'}\n"
 
 
 class TestBadInputLines:
@@ -499,9 +514,12 @@ class TestOtherCommands:
     def test_dnr_cover_violations_match_a_fraction_scan(self, capsys, monkeypatch):
         # a size-0 interval makes the factor 0 at n = 3, so P_4..P_6 stop decreasing
         zero_at = s_index(1, 3)
-        monkeypatch.setattr(
-            nulltests, "logpart_size", lambda m: 0 if m == zero_at else logpart_size(m))
-        partials = dnr_cover_product(1, 6)
+
+        def size(m):
+            return 0 if m == zero_at else logpart_size(m)
+
+        monkeypatch.setattr(nulltests, "logpart_size", size)
+        partials = partial_products(1, 6, size)
         expected = [
             f"violation: partial product not strictly decreasing at n={i + 1}"
             for i, (a, b) in enumerate(zip(partials, partials[1:]))
@@ -511,6 +529,30 @@ class TestOtherCommands:
         assert code == 1 and len(expected) == 3
         assert [line for line in out.splitlines() if line.startswith("violation:")] == expected
 
+    def test_adversary_report_is_written_line_by_line(self, monkeypatch):
+        # the M(prefix) labels make the report quadratic in the depth; building
+        # it whole as well (lines, join, final newline) peaked near 4x its size
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            status = main(["adversary", "--strategy", "pair-doubling", "--depth", "3000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0 and sink.size > 3000**2 // 2
+        assert peak < 2 * sink.size
+
     def test_dnr_cover_past_the_int_digit_limit(self, capsys):
         code, out = run_cli(capsys, "dnr-cover", "--e", "3", "--n", "900")
         assert code == 0
@@ -519,7 +561,7 @@ class TestOtherCommands:
         ).removeprefix("P_900: ").split("/")
         assert len(den) > 4300
         # int(Decimal(...)) reads past the int-from-str limit, which main puts back
-        assert Fraction(int(Decimal(num)), int(Decimal(den))) == dnr_cover_product(3, 900)[-1]
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == partial_products(3, 900)[-1]
 
     def test_param(self, capsys, tmp_path):
         path = tmp_path / "p.txt"

@@ -18,7 +18,6 @@ from recmeasure.codec import num_of
 from recmeasure.martingale import (
     SAVINGS_DROP_BOUND,
     Martingale,
-    SavingsMartingale,
     StrategyMartingale,
     TableMartingale,
     all_strings,
@@ -39,7 +38,13 @@ from recmeasure.oracle import (
 )
 from recmeasure.strategies import adversary_sequence, coincidence_martingale, coincidence_step
 
-from conftest import random_strategy_martingale, rank_arrays, strings_up_to, table_file_text
+from conftest import (
+    SavingsMartingale,
+    random_strategy_martingale,
+    rank_arrays,
+    strings_up_to,
+    table_file_text,
+)
 from test_cli import subprocess_env
 from test_oracle import brute_force_average
 
@@ -190,7 +195,7 @@ class TestLevels:
         assert {type(m) for m in kinds} == {StrategyMartingale, RefTable, SavingsMartingale}
         for m in kinds:
             for sigma in strings_up_to(DEPTH):
-                assert m.value(sigma) == reference_value(m, sigma), type(m).__name__
+                assert capital_trace(m, sigma)[-1] == reference_value(m, sigma), type(m).__name__
 
     def test_depth_checks(self, rng):
         for m in (random_strategy_martingale(rng, 3), thirds_table(rng, 3)):
@@ -207,7 +212,7 @@ class TestLevels:
             with pytest.raises(ValueError):
                 m.tabulate(2)
             with pytest.raises(ValueError):
-                m.value("01")
+                capital_trace(m, "01")
 
 
 class TestValidateMatchesReference:
@@ -248,7 +253,7 @@ class TestValidateMatchesReference:
         m = load_table(path)
         assert m.depth == depth and m.table == table
         for sigma in strings_up_to(depth):
-            assert m.value(sigma) == table[sigma]
+            assert capital_trace(m, sigma)[-1] == table[sigma]
         assert as_fractions(m.tabulate(depth)) == [table[s] for s in strings_up_to(depth)]
         for d in range(depth + 1):
             assert validate(m, d) == reference_validate(table.__getitem__, d)
@@ -312,7 +317,7 @@ class TestOracleEngine:
             f = make() if name != "prefix-coincidence" else make(3)
             n = averaged_martingale(f, DEPTH)
             for sigma in strings_up_to(DEPTH):
-                assert n.value(sigma) == brute_force_average(f, sigma, DEPTH), name
+                assert capital_trace(n, sigma)[-1] == brute_force_average(f, sigma, DEPTH), name
 
     def test_average_with_mixed_denominators(self):
         # oracles whose level denominators differ, summed over their lcm: the
@@ -329,9 +334,10 @@ class TestOracleEngine:
         n = averaged_martingale(f, 4)
         thirds, coincidence = thirds_strategy(4, "0000"), coincidence_martingale("1111")
         for sigma in strings_up_to(4):
-            assert n.value(sigma) == brute_force_average(f, sigma, 4)
+            assert capital_trace(n, sigma)[-1] == brute_force_average(f, sigma, 4)
             if sigma:
-                assert n.value(sigma) == (thirds.value(sigma) + coincidence.value(sigma)) / 2
+                halves = capital_trace(thirds, sigma)[-1] + capital_trace(coincidence, sigma)[-1]
+                assert capital_trace(n, sigma)[-1] == halves / 2
 
     def test_exceed_members_match_value_recount(self):
         # each kernel with its M^tau built from the martingale classes, not
@@ -473,7 +479,7 @@ class TestMergedEngineMatchesEnumeration:
         n = averaged_martingale(f, depth)
         for sigma in strings_up_to(depth):
             mean = sum(capitals(tau, sigma)[-1] for tau in oracles) / len(oracles)
-            assert n.value(sigma) == mean, sigma
+            assert capital_trace(n, sigma)[-1] == mean, sigma
 
         path = data.draw(st.text("01", min_size=depth, max_size=depth))
         level = data.draw(st.integers(0, 2))
@@ -543,13 +549,12 @@ class TestAveragedMartingaleMatchesTable:
 class TestDeepQueries:
     def test_cold_deep_value(self):
         m = coincidence_martingale("0" * 5000)
-        assert m.value("0" * 5000) == Fraction(3, 2) ** 5000
+        assert capital_trace(m, "0" * 5000)[-1] == Fraction(3, 2) ** 5000
 
     def test_cold_deep_savings(self):
         ref = "01" * 1000
         s = SavingsMartingale(coincidence_martingale(ref))
         trace = capital_trace(s, ref)
-        assert s.value(ref) == trace[-1]
         # every bet along its reference wins, so the base and its savings only rise
         assert all(a < b for a, b in zip(trace, trace[1:]))
 
@@ -568,9 +573,6 @@ class TestDeepQueries:
         # the trace of that path, as the adversary command prints it
         capital_trace(m, path)
         assert len(calls) == 2 * len(ref)
-        calls.clear()
-        m.value(path)
-        assert len(calls) == len(path)
         calls.clear()
         SavingsMartingale(m).walk(path)
         assert len(calls) == len(path)

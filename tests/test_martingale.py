@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from recmeasure.martingale import (
     SAVINGS_DROP_BOUND,
-    SavingsMartingale,
     StrategyMartingale,
     TableMartingale,
     all_strings,
@@ -20,7 +19,7 @@ from recmeasure.martingale import (
 from recmeasure.codec import num_of
 from recmeasure.strategies import coincidence_martingale, pair_doubling_martingale
 
-from conftest import random_strategy_martingale, rank_arrays, strings_up_to
+from conftest import SavingsMartingale, random_strategy_martingale, rank_arrays, strings_up_to
 
 
 def constant_one(depth: int) -> TableMartingale:
@@ -68,12 +67,12 @@ class TestValidate:
 
 class TestEvaluate:
     def test_constant(self):
-        assert constant_one(4).value("1010") == 1
+        assert capital_trace(constant_one(4), "1010")[-1] == 1
 
     def test_coincidence_examples(self):
         m = coincidence_martingale("0000")
-        assert m.value("00") == Fraction(9, 4)
-        assert m.value("01") == Fraction(3, 4)
+        assert capital_trace(m, "00")[-1] == Fraction(9, 4)
+        assert capital_trace(m, "01")[-1] == Fraction(3, 4)
 
     def test_float_initial_capital_rejected(self):
         def rule(sigma):
@@ -81,11 +80,11 @@ class TestEvaluate:
 
         with pytest.raises(ValueError, match="initial capital 0.1 is not an exact rational"):
             StrategyMartingale(2, 0.1, rule)
-        assert StrategyMartingale(2, 3, rule).value("00") == Fraction(27, 4)
+        assert capital_trace(StrategyMartingale(2, 3, rule), "00")[-1] == Fraction(27, 4)
 
     def test_out_of_depth_query_errors(self):
         with pytest.raises(ValueError):
-            constant_one(2).value("000")
+            capital_trace(constant_one(2), "000")
 
 
 class TestTree:
@@ -139,11 +138,12 @@ class TestCombineSum:
     def test_opposite_coincidences(self):
         a = coincidence_martingale("0000")
         b = coincidence_martingale("1111")
-        halves = {x: (a.value(x) + b.value(x)) / 2 for x in strings_up_to(4)}
+        halves = {x: (capital_trace(a, x)[-1] + capital_trace(b, x)[-1]) / 2
+                  for x in strings_up_to(4)}
         s = TableMartingale(4, *rank_arrays(4, halves))
         # the first-bit bets cancel, deeper ones do not
-        assert s.value("0") == s.value("1") == 1
-        assert s.value("00") == Fraction(5, 4)
+        assert capital_trace(s, "0")[-1] == capital_trace(s, "1")[-1] == 1
+        assert capital_trace(s, "00")[-1] == Fraction(5, 4)
         assert validate(s, 4) == []
 
     def test_linearity_exact(self, rng):
@@ -153,7 +153,8 @@ class TestCombineSum:
             for _ in range(4)
         ]
         table = {
-            sigma: sum(w * m.value(sigma) for w, m in members) for sigma in strings_up_to(depth)
+            sigma: sum(w * capital_trace(m, sigma)[-1] for w, m in members)
+            for sigma in strings_up_to(depth)
         }
         assert validate(TableMartingale(depth, *rank_arrays(depth, table)), depth) == []
 
@@ -161,7 +162,7 @@ class TestCombineSum:
 class TestSavings:
     def test_constant_unchanged(self):
         s = SavingsMartingale(constant_one(4))
-        assert all(s.value(x) == 1 for x in strings_up_to(4))
+        assert all(capital_trace(s, x)[-1] == 1 for x in strings_up_to(4))
 
     def test_doubling_path_banks_units(self):
         # all-in doubling along 000...: each doubling lifts the working part
@@ -198,18 +199,19 @@ class TestTableIO:
     def test_roundtrip(self, tmp_path, rng):
         m = random_strategy_martingale(rng, 4)
         path = tmp_path / "table.txt"
-        path.write_text("".join(f"{x or '-'} {m.value(x)}\n" for x in strings_up_to(4)))
+        lines = (f"{x or '-'} {capital_trace(m, x)[-1]}\n" for x in strings_up_to(4))
+        path.write_text("".join(lines))
         loaded = load_table(path)
         assert loaded.depth == 4
         for sigma in strings_up_to(4):
-            assert loaded.value(sigma) == m.value(sigma)
+            assert capital_trace(loaded, sigma) == capital_trace(m, sigma)
 
     def test_lambda_line(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("- 1\n0 1/2\n1 3/2\n")
         m = load_table(path)
-        assert m.value("") == 1
-        assert m.value("1") == Fraction(3, 2)
+        assert capital_trace(m, "")[-1] == 1
+        assert capital_trace(m, "1")[-1] == Fraction(3, 2)
 
     def test_malformed_rational_rejected(self, tmp_path):
         path = tmp_path / "t.txt"

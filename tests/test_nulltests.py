@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -17,6 +18,8 @@ from recmeasure.nulltests import (
     load_kurtz,
     normalize,
 )
+
+from conftest import partial_products
 
 
 def brute_force_measure(generators, resolution: int) -> Fraction:
@@ -264,13 +267,24 @@ class TestAvoidance:
 
 class TestDnrCover:
     def test_first_factor(self):
-        assert dnr_cover_product(0, 0) == [Fraction(7, 8)]
+        assert dnr_cover_product(0, 0) == (Fraction(7, 8), Fraction(7, 8), [])
 
     def test_strictly_decreasing_and_positive(self):
         for e in range(5):
-            partials = dnr_cover_product(e, 1000)
+            partials = partial_products(e, 1000)
             assert all(p > 0 for p in partials)
             assert all(b < a for a, b in zip(partials, partials[1:]))
+            assert dnr_cover_product(e, 1000) == (partials[0], partials[-1], [])
+
+    def test_holds_one_product_at_a_time(self):
+        # a list of every partial peaks near 27 MB here; the n-th has ~n log n bits
+        tracemalloc.start()
+        try:
+            dnr_cover_product(0, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_termwise_comparison_runs_clean(self):
         # the internal integerized comparison raises if it ever fails

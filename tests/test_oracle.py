@@ -34,26 +34,26 @@ def brute_force_average(f: TTFunctional, sigma: str, depth: int) -> Fraction:
         tau = "".join(bits)
         # pad so the factory sees a full-depth oracle word
         padded = tau + "0" * (f.use_bound(depth) - u)
-        total += f.factory(padded, depth).value(sigma)
+        total += capital_trace(f.factory(padded, depth), sigma)[-1]
     return total / 2**u
 
 
 class TestAveraged:
     def test_coincidence_averages_to_one(self):
         n = averaged_martingale(oracle_coincidence_functional(), 6)
-        assert all(n.value(s) == 1 for s in strings_up_to(6))
+        assert all(capital_trace(n, s)[-1] == 1 for s in strings_up_to(6))
 
     def test_constant_averages_to_one(self):
         n = averaged_martingale(constant_functional(), 5)
-        assert all(n.value(s) == 1 for s in strings_up_to(5))
+        assert all(capital_trace(n, s)[-1] == 1 for s in strings_up_to(5))
 
     def test_prefix_kernel_brute_force(self):
         f = prefix_coincidence_functional(1)
         n = averaged_martingale(f, 4)
         for sigma in strings_up_to(4):
-            assert n.value(sigma) == brute_force_average(f, sigma, 4)
+            assert capital_trace(n, sigma)[-1] == brute_force_average(f, sigma, 4)
         # averaging the two length-1 oracles kills the first-bit bet
-        assert n.value("0") == (Fraction(3, 2) + Fraction(1, 2)) / 2 == 1
+        assert capital_trace(n, "0")[-1] == (Fraction(3, 2) + Fraction(1, 2)) / 2 == 1
 
     def test_all_builtin_kernels_match_brute_force(self):
         for name, make in BUILTIN_KERNELS.items():
@@ -62,7 +62,7 @@ class TestAveraged:
             n = averaged_martingale(f, depth)
             assert validate(n, depth) == [], name
             for sigma in strings_up_to(depth):
-                assert n.value(sigma) == brute_force_average(f, sigma, depth), name
+                assert capital_trace(n, sigma)[-1] == brute_force_average(f, sigma, depth), name
 
     def test_guard(self):
         # a tree one level deeper than GUARD fails before it steps or allocates:
@@ -201,8 +201,7 @@ class TestExceedSet:
             for tau in ex.generators:
                 m = f.factory(tau, 8)
                 exceeded = False
-                for i in range(len(path) + 1):
-                    v = m.value(path[:i])
+                for v in capital_trace(m, path):
                     if exceeded:
                         assert v > floor
                     if v > 2**level + 1:
@@ -221,7 +220,7 @@ class TestRootUse:
         depth = 3
         n = averaged_martingale(f, depth)
         for sigma in strings_up_to(depth):
-            assert n.value(sigma) == brute_force_average(f, sigma, depth), sigma
+            assert capital_trace(n, sigma)[-1] == brute_force_average(f, sigma, depth), sigma
         oracles = list(all_strings(u0 + depth))
         for path, level in itertools.product(["000", "011", "101"], [0, 1]):
             hits = [
@@ -254,10 +253,11 @@ class TestRootUse:
             tau = witness.strip("-")
             m = f.factory(tau.ljust(u0 + depth, "0"), depth)
             if kind == "negative value":
-                assert len(tau) == u0 + len(at) and m.value(at) < 0, message
+                assert len(tau) == u0 + len(at) and capital_trace(m, at)[-1] < 0, message
             else:
                 assert len(tau) == u0 + len(at) + 1, message
-                assert 2 * m.value(at) != m.value(at + "0") + m.value(at + "1"), message
+                here, zero, one = (capital_trace(m, at + b)[-1] for b in ("", "0", "1"))
+                assert 2 * here != zero + one, message
         assert kinds == {"negative value", "averaging violated"}
 
 
@@ -288,8 +288,8 @@ class TestXorSymmetry:
             u, zeros = f.use_bound(len(sigma)), "0" * len(sigma)
             for tau in all_strings(u):
                 flipped = xor(tau, sigma[:u])
-                assert (f.factory(tau, len(sigma)).value(sigma)
-                        == f.factory(flipped, len(sigma)).value(zeros)), (sigma, tau)
+                assert (capital_trace(f.factory(tau, len(sigma)), sigma)[-1]
+                        == capital_trace(f.factory(flipped, len(sigma)), zeros)[-1]), (sigma, tau)
 
     @pytest.mark.parametrize("level, measure", [(1, Fraction(1, 8)), (2, Fraction(1, 64))])
     def test_exceed_measure_is_one_value_over_all_paths(self, level, measure):

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from recmeasure.param import (
     Parametrization,
-    consistent,
     halve_transform,
     hits,
     io_match_report,
     load_parametrization,
 )
+
+from conftest import consistent
 
 
 class TestConsistent:
