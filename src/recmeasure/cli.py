@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 # Each handler imports the modules it runs, so a process loads only those.
 from . import codec
@@ -136,24 +137,26 @@ def cmd_validate(args) -> tuple[list[Result], list[str]]:
     return [("depth", str(depth)), ("valid", fmt(not violations))], violations
 
 
-def cmd_trace(args) -> tuple[list[Result], list[str]]:
+def _capitals(path: str, trace) -> Iterator[Result]:
+    """``M(prefix): capital`` for each prefix of ``path``, made as it is written:
+    the labels grow quadratically in the path's length."""
+    return ((f"M({_show(path[:i])})", fmt(v)) for i, v in enumerate(trace))
+
+
+def cmd_trace(args) -> tuple[Iterable[Result], list[str]]:
     from . import martingale
     m = _input_martingale(args)
     path = codec.read_bits(args.path)
-    trace = martingale.capital_trace(m, path)
-    return [
-        (f"M({_show(path[:i])})", fmt(v)) for i, v in enumerate(trace)
-    ], []
+    return _capitals(path, martingale.capital_trace(m, path)), []
 
 
-def cmd_adversary(args) -> tuple[list[Result], list[str]]:
+def cmd_adversary(args) -> tuple[Iterable[Result], list[str]]:
     from . import martingale, strategies
     m = _input_martingale(args)
     length = m.depth if args.length is None else args.length
     path = strategies.adversary_sequence(m, length)
     trace = martingale.capital_trace(m, path)
-    results: list[Result] = [("adversary", _show(path))]
-    results += [(f"M({_show(path[:i])})", fmt(v)) for i, v in enumerate(trace)]
+    results = chain([("adversary", _show(path))], _capitals(path, trace))
     violations = [
         f"capital increased at step {i}: {a} -> {b}"
         for i, (a, b) in enumerate(zip(trace, trace[1:]))
@@ -337,9 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def write_report(report: dict, as_json: bool) -> None:
-    """Write the report to stdout, in text mode one line at a time."""
+    """Write the report to stdout, in text mode one line at a time, taking
+    each result from its iterable as it goes."""
     if as_json:
         import json
+        report["results"] = list(report["results"])
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         return
     sys.stdout.writelines(f"{label}: {value}\n" for label, value in report["results"])

@@ -13,6 +13,8 @@ if TYPE_CHECKING:
 
 # CPython's default int-from-str limit: ``int`` is quadratic in the digit count
 MAX_DIGITS = 4300
+# read_file reads whole lines until a block holds at least this many characters
+_BLOCK_CHARS = 1 << 13
 
 
 def excerpt(token: str) -> str:
@@ -27,26 +29,35 @@ def check_bits(sigma: str) -> str:
     return sigma
 
 
-def read_file(path, parse: Callable[[str], object]) -> list:
+def read_file(path, parse: Callable[[str], object],
+              block: Callable[[list[str]], bool] | None = None) -> list:
     """``parse`` of each stripped line of an ASCII text file, skipping blanks
     and ``#`` comments.
 
     A ValueError from ``parse``, or a non-ASCII byte, is raised once as
     ``path:lineno: message``, so a parse function never sees a line number.
+    Lines are read in blocks of about 8 KB; ``block(lines)`` may take an
+    all-ASCII block whole, unstripped, by returning True, and adds nothing
+    to the result; a block it declines goes to ``parse`` line by line.
     """
     parsed = []
+    lineno = 0
     # surrogateescape keeps each undecodable byte on its own line, as U+DC80..U+DCFF
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                if not raw.isascii():
-                    byte = next(ord(c) - 0xDC00 for c in raw if not c.isascii())
-                    raise ValueError(f"non-ASCII byte {byte:#04x}")
-                line = raw.strip()
-                if line and not line.startswith("#"):
-                    parsed.append(parse(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        while lines := fh.readlines(_BLOCK_CHARS):
+            if block is not None and all(map(str.isascii, lines)) and block(lines):
+                lineno += len(lines)
+                continue
+            for lineno, raw in enumerate(lines, lineno + 1):
+                try:
+                    if not raw.isascii():
+                        byte = next(ord(c) - 0xDC00 for c in raw if not c.isascii())
+                        raise ValueError(f"non-ASCII byte {byte:#04x}")
+                    line = raw.strip()
+                    if line and not line.startswith("#"):
+                        parsed.append(parse(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
     return parsed
 
 

@@ -7,12 +7,14 @@ to a finite depth, subject to the fairness equation
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from numbers import Rational
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .codec import check_bits, excerpt, read_bits, read_file, read_rational, str_of
+from .codec import MAX_DIGITS, check_bits, excerpt, read_bits, read_file, read_rational, str_of
 
 # Capital banked by the savings transform in units of 1; the working part is
 # kept strictly below this cap, so capital along a path never drops by more
@@ -235,17 +237,26 @@ def capital_trace(m: Martingale, path: str) -> list[Fraction]:
     return [Fraction(num, den) for num, den in m.walk(path)]
 
 
+# one ``<bits|-> <value>`` line of a table file, with no other whitespace;
+# the file's last line may lack its newline
+_LINE = rf"(?:[01]+|-) [+-]?[0-9]{{1,{MAX_DIGITS}}}(?:/[0-9]{{1,{MAX_DIGITS}}})?"
+_CANONICAL = rf"(?:{_LINE}\n)*{_LINE}\n?"
+
+
 def load_table(path) -> TableMartingale:
     """Read a martingale table file: one ``<bits|-> <value>`` per line, where a
     value is ``[+-]digits`` or ``[+-]digits/digits`` (see :func:`codec.read_rational`).
 
     Each line is filed at its rank as it is read: ``nums`` and ``dens`` hold
     ranks 0..len-1, and a rank past that prefix waits in ``ahead`` until the
-    prefix reaches it, so a file in rank order never fills ``ahead``.
+    prefix reaches it, so a file in rank order never fills ``ahead``.  A block
+    of such a file with one space per line and nothing else is taken whole
+    (see :func:`codec.read_file`); every other line goes through ``parse``.
     """
     nums: list[int] = []
     dens: list[int] = []
     ahead: dict[int, tuple[int, int]] = {}
+    canonical = re.compile(_CANONICAL)
 
     def parse(line: str) -> None:
         parts = line.split()
@@ -266,7 +277,33 @@ def load_table(path) -> TableMartingale:
             nums.append(num)
             dens.append(den)
 
-    read_file(path, parse)
+    def block(lines: list[str]) -> bool:
+        # a rank-ordered block of one-space lines, taken at once; anything
+        # else declines, having written nothing, and goes line by line
+        text = "".join(lines)
+        if ahead or not canonical.fullmatch(text):
+            return False
+        tokens = text.split()
+        words, values = tokens[0::2], tokens[1::2]
+        if words[0] == "-":
+            words[0] = ""
+        try:  # int("1" + sigma, 2) is num_of(sigma) + 1; a later "-" fails it
+            ranks = list(map(int, map("1".__add__, words), repeat(2)))
+        except ValueError:
+            return False
+        if ranks != list(range(len(nums) + 1, len(nums) + len(ranks) + 1)):
+            return False
+        if text.count("/") < len(values):
+            values = [v if "/" in v else v + "/1" for v in values]
+        parts = "/".join(values).split("/")
+        new_dens = list(map(int, parts[1::2]))
+        if 0 in new_dens:
+            return False
+        nums.extend(map(int, parts[0::2]))
+        dens.extend(new_dens)
+        return True
+
+    read_file(path, parse, block)
     if not (nums or ahead):
         raise ValueError(f"{path}: empty martingale table")
     depth = len(str_of(max(ahead, default=len(nums) - 1)))

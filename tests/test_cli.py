@@ -553,6 +553,33 @@ class TestOtherCommands:
         assert status == 0 and sink.size > 3000**2 // 2
         assert peak < 2 * sink.size
 
+    def test_adversary_labels_are_made_as_written(self, monkeypatch):
+        # the trace itself is about a tenth of the report here; a list of
+        # every M(prefix) label would be a whole copy of it
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        # loads the modules the command imports, outside the measurement
+        assert main(["adversary", "--strategy", "pair-doubling", "--depth", "2"]) == 0
+        sink.size = 0
+        tracemalloc.start()
+        try:
+            status = main(["adversary", "--strategy", "pair-doubling", "--depth", "3000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0 and sink.size > 3000**2 // 2
+        assert peak < sink.size // 5
+
     def test_dnr_cover_past_the_int_digit_limit(self, capsys):
         code, out = run_cli(capsys, "dnr-cover", "--e", "3", "--n", "900")
         assert code == 0
@@ -584,6 +611,18 @@ class TestOtherCommands:
         assert report["command"] == "measure"
         assert ["measure", "3/4"] in report["results"]
         assert report["violations"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--strategy", "pair-doubling", "--depth", "6", "--path", "001101"],
+        ["adversary", "--strategy", "pair-doubling", "--depth", "6"],
+    ], ids=["trace", "adversary"])
+    def test_json_report_of_a_lazy_report(self, capsys, argv):
+        # the two reports made as they are written give JSON the same results
+        code, text = run_cli(capsys, *argv)
+        json_code, out = run_cli(capsys, "--json", *argv)
+        assert code == json_code == 0
+        results = json.loads(out)["results"]
+        assert [f"{label}: {value}\n" for label, value in results] == text.splitlines(True)
 
 
 class TestWordOptions:

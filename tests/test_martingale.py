@@ -16,7 +16,7 @@ from recmeasure.martingale import (
     tree,
     validate,
 )
-from recmeasure.codec import num_of
+from recmeasure.codec import _BLOCK_CHARS, MAX_DIGITS, excerpt, num_of, read_bits
 from recmeasure.strategies import coincidence_martingale, pair_doubling_martingale
 
 from conftest import SavingsMartingale, random_strategy_martingale, rank_arrays, strings_up_to
@@ -294,3 +294,137 @@ class TestTableIO:
             tracemalloc.stop()
         assert m.depth == depth
         assert peak < 128 * len(lines)
+
+
+def random_entries(rng: random.Random, depth: int) -> tuple[list[list[str]], list[int], list[int]]:
+    """``[word, value]`` for every string up to ``depth`` in rank order, and the
+    numerators and denominators the values read as (unreduced, signed or bare)."""
+    entries, nums, dens = [], [], []
+    for sigma in strings_up_to(depth):
+        num, den = rng.randint(-10**6, 10**6), rng.choice([1, rng.randint(1, 10**6)])
+        form = rng.randrange(3)
+        if form == 0:
+            value = f"{num}/{den}"
+        else:
+            den = 1
+            value = f"+{num}" if form == 1 and num >= 0 else str(num)
+        entries.append([sigma or "-", value])
+        nums.append(num)
+        dens.append(den)
+    return entries, nums, dens
+
+
+def table_text(entries: list[list[str]], sep: str = " ", end: str = "\n",
+               last: str = "\n") -> str:
+    return end.join(sep.join(entry) for entry in entries) + last
+
+
+def at_chars(entries: list[list[str]], chars: float) -> int:
+    """The index of the first entry whose canonical line starts at or past ``chars``."""
+    offset = 0
+    for i, (word, value) in enumerate(entries):
+        if offset >= chars:
+            return i
+        offset += len(word) + len(value) + 2
+    raise ValueError("the table is shorter than that")
+
+
+def load_outcome(path) -> object:
+    """The loaded arrays, or the error message with the path left out."""
+    try:
+        m = load_table(path)
+    except ValueError as exc:
+        return str(exc).replace(str(path), "<path>")
+    return m.nums, m.dens
+
+
+class TestBlockRead:
+    """``read_file`` reads whole lines in blocks of ``_BLOCK_CHARS`` characters;
+    ``load_table`` takes a block at once only in the canonical layout (one space,
+    rank order, no comments), and every other block goes line by line."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32), depth=st.integers(9, 12))
+    def test_every_layout_loads_alike(self, tmp_path_factory, seed, depth):
+        rng = random.Random(seed)
+        entries, nums, dens = random_entries(rng, depth)
+        commented = [*entries]
+        commented.insert(rng.randrange(len(entries) + 1), ["#", "a comment"])
+        shuffled = [*entries]
+        rng.shuffle(shuffled)
+        layouts = {
+            "canonical": table_text(entries),
+            "no-final-newline": table_text(entries, last=""),
+            "tab": table_text(entries, sep="\t"),
+            # universal newlines read CRLF as LF, so this one takes the block path too
+            "crlf": table_text(entries, end="\r\n", last="\r\n"),
+            "comment": table_text(commented),
+            "shuffled": table_text(shuffled),
+        }
+        folder = tmp_path_factory.mktemp("layouts")
+        for name, text in layouts.items():
+            (folder / name).write_bytes(text.encode())
+            m = load_table(folder / name)
+            assert m.depth == depth, name
+            assert m.nums == tuple(nums) and m.dens == tuple(dens), name
+
+    @pytest.mark.parametrize("sep, parsed", [(" ", 0), ("\t", 2**13 - 1)], ids=["space", "tab"])
+    def test_canonical_layout_skips_the_line_parser(self, tmp_path, monkeypatch, sep, parsed):
+        from recmeasure import martingale
+
+        calls = []
+        monkeypatch.setattr(martingale, "read_bits", lambda token: calls.append(token) or
+                            read_bits(token))
+        entries, nums, _ = random_entries(random.Random(12), 12)
+        path = tmp_path / "t.txt"
+        path.write_text(table_text(entries, sep=sep))
+        assert load_table(path).nums == tuple(nums)
+        assert len(calls) == parsed
+
+    @pytest.mark.parametrize("fault", [
+        "duplicate", "duplicate-of-ahead", "zero-denominator", "non-ascii", "long-numerator", "bad-last-line",
+        "out-of-order", "no-final-newline",
+    ])
+    def test_faults_named_as_line_by_line(self, tmp_path, fault):
+        # the tab-separated copy has the same line numbers and never takes a block
+        entries, nums, dens = random_entries(random.Random(11), 11)
+        last = "\n"
+        if fault == "duplicate":
+            # a later block repeats a word whose first copy was taken in block 1
+            i = at_chars(entries, 3.5 * _BLOCK_CHARS)
+            entries.insert(i, [entries[5][0], "1/3"])
+            message = f"<path>:{i + 1}: duplicate entry for {entries[5][0]!r}"
+        elif fault == "duplicate-of-ahead":
+            # the last word's first copy waits in ahead from block 1 on
+            entries.insert(10, [entries[-1][0], "1/3"])
+            message = f"<path>:{len(entries)}: duplicate entry for {entries[-1][0]!r}"
+        elif fault == "zero-denominator":
+            i = at_chars(entries, 4.5 * _BLOCK_CHARS)
+            entries[i][1] = "7/0"
+            message = f"<path>:{i + 1}: bad rational '7/0'"
+        elif fault == "non-ascii":
+            i = at_chars(entries, 2.5 * _BLOCK_CHARS)
+            entries[i][1] += "\xe9"
+            message = f"<path>:{i + 1}: non-ASCII byte 0xe9"
+        elif fault == "long-numerator":
+            i = at_chars(entries, 1.5 * _BLOCK_CHARS)
+            entries[i][1] = "9" * (MAX_DIGITS + 1)
+            message = f"<path>:{i + 1}: bad rational {excerpt('9' * (MAX_DIGITS + 1))}"
+        elif fault == "bad-last-line":
+            entries[-1][1] = "1/0"
+            last = ""
+            message = f"<path>:{len(entries)}: bad rational '1/0'"
+        elif fault == "out-of-order":
+            # every line between the two places waits in ahead, so those
+            # blocks go line by line and the block path takes over after
+            entry = entries.pop(at_chars(entries, 1.5 * _BLOCK_CHARS))
+            entries.insert(at_chars(entries, 5.5 * _BLOCK_CHARS), entry)
+            message = (tuple(nums), tuple(dens))
+        else:
+            last = ""
+            message = (tuple(nums), tuple(dens))
+        canonical, tab = tmp_path / "canonical.txt", tmp_path / "tab.txt"
+        canonical.write_bytes(table_text(entries, last=last).encode("latin-1"))
+        tab.write_bytes(table_text(entries, sep="\t", last=last).encode("latin-1"))
+        assert load_outcome(tab) == message
+        assert load_outcome(canonical) == message
