@@ -47,6 +47,17 @@ def natural(text: str) -> int:
     return value
 
 
+def _max_power(base: int) -> int:
+    """The largest e with base**e < 10**MAX_DIGITS, so base**e prints in at most
+    codec.MAX_DIGITS digits; found by bisection on exact integers."""
+    limit = 10**codec.MAX_DIGITS
+    low, high = 0, limit.bit_length()  # base**low < limit <= base**high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if base**mid < limit else (low, mid)
+    return low
+
+
 class IntervalOption(argparse.Action):
     """``--interval FAMILY M``: FAMILY must name a family and M be natural."""
 
@@ -110,6 +121,11 @@ def cmd_codec(args) -> tuple[list[Result], list[str]]:
         results.append((f"s({e},{n})", fmt(codec.s_index(e, n))))
     if args.interval is not None:
         family, m = args.interval[0], int(args.interval[1])
+        # a power family's last integer is about base^(M+1), printed in full
+        base = {"pow2": 2, "pow3": 3}.get(family)
+        if base is not None and m >= (e := _max_power(base)):
+            raise ValueError(f"--interval {family} M must be at most {e - 1}, the largest M "
+                             f"for which {base}^(M+1) has at most {codec.MAX_DIGITS} digits")
         iv = codec.interval(family, m)
         results.append((f"interval({family},{m})", f"{iv[0]}..{iv[-1]}"))
     if args.parity is not None:
@@ -180,7 +196,7 @@ def cmd_average(args) -> tuple[list[Result], list[str]]:
 
 def cmd_exceed(args) -> tuple[list[Result], list[str]]:
     # the report prints 2/2^n in full; 2^n < 10^MAX_DIGITS keeps it to MAX_DIGITS digits
-    n_max = (10**codec.MAX_DIGITS).bit_length() - 1
+    n_max = _max_power(2)
     if args.n > n_max:
         raise ValueError(f"--n must be at most {n_max}, the largest n for which 2^n "
                          f"has at most {codec.MAX_DIGITS} digits")

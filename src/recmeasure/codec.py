@@ -30,17 +30,16 @@ def check_bits(sigma: str) -> str:
 
 
 def read_file(path, parse: Callable[[str], object],
-              block: Callable[[list[str]], bool] | None = None) -> list:
-    """``parse`` of each stripped line of an ASCII text file, skipping blanks
-    and ``#`` comments.
+              block: Callable[[list[str]], bool] | None = None) -> None:
+    """Call ``parse`` on each stripped line of an ASCII text file, for its
+    effect, skipping blanks and ``#`` comments.
 
     A ValueError from ``parse``, or a non-ASCII byte, is raised once as
     ``path:lineno: message``, so a parse function never sees a line number.
     Lines are read in blocks of about 8 KB; ``block(lines)`` may take an
-    all-ASCII block whole, unstripped, by returning True, and adds nothing
-    to the result; a block it declines goes to ``parse`` line by line.
+    all-ASCII block whole, unstripped, by returning True; a block it
+    declines goes to ``parse`` line by line.
     """
-    parsed = []
     lineno = 0
     # surrogateescape keeps each undecodable byte on its own line, as U+DC80..U+DCFF
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
@@ -55,10 +54,9 @@ def read_file(path, parse: Callable[[str], object],
                         raise ValueError(f"non-ASCII byte {byte:#04x}")
                     line = raw.strip()
                     if line and not line.startswith("#"):
-                        parsed.append(parse(line))
+                        parse(line)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return parsed
 
 
 def read_bits(token: str) -> str:
@@ -94,22 +92,19 @@ def read_rational(token: str) -> tuple[int, int]:
 
 
 def num_of(sigma: str) -> int:
-    """Rank of ``sigma`` in length-lexicographic order (shorter first).
+    """Rank of ``sigma`` in length-lexicographic order (shorter first): the
+    binary number 1sigma less one.
 
     Satisfies 2^|sigma| - 1 <= num_of(sigma) <= 2^(|sigma|+1) - 2.
     """
-    check_bits(sigma)
-    offset = int(sigma, 2) if sigma else 0
-    return (1 << len(sigma)) - 1 + offset
+    return int("1" + check_bits(sigma), 2) - 1
 
 
 def str_of(n: int) -> str:
-    """Inverse of :func:`num_of`."""
+    """Inverse of :func:`num_of`: the binary digits of n + 1 after the leading 1."""
     if n < 0:
         raise ValueError("rank must be a natural number")
-    length = (n + 1).bit_length() - 1
-    offset = n - ((1 << length) - 1)
-    return format(offset, "b").zfill(length) if length else ""
+    return bin(n + 1)[3:]
 
 
 def pair(a: int, b: int) -> int:

@@ -28,7 +28,7 @@ State = tuple
 
 def all_strings(length: int) -> Iterable[str]:
     """All binary strings of exactly the given length, lexicographically."""
-    return (format(i, "b").zfill(length) if length else "" for i in range(1 << length))
+    return (bin(i)[3:] for i in range(1 << length, 2 << length))
 
 
 def tree(start: State, step: Callable, depth: int) -> Iterator[tuple[int, str, State]]:
@@ -247,11 +247,11 @@ def load_table(path) -> TableMartingale:
     """Read a martingale table file: one ``<bits|-> <value>`` per line, where a
     value is ``[+-]digits`` or ``[+-]digits/digits`` (see :func:`codec.read_rational`).
 
-    Each line is filed at its rank as it is read: ``nums`` and ``dens`` hold
-    ranks 0..len-1, and a rank past that prefix waits in ``ahead`` until the
-    prefix reaches it, so a file in rank order never fills ``ahead``.  A block
-    of such a file with one space per line and nothing else is taken whole
-    (see :func:`codec.read_file`); every other line goes through ``parse``.
+    Each line read on its own goes into ``ahead`` at its rank; then the run of
+    ranks from ``len(nums)`` moves into ``nums`` and ``dens``, so ``ahead`` is
+    empty after each line of a rank-ordered file.  A block of such a file with
+    one space per line and nothing else is taken whole (see
+    :func:`codec.read_file`); every other line goes through ``parse``.
     """
     nums: list[int] = []
     dens: list[int] = []
@@ -262,16 +262,11 @@ def load_table(path) -> TableMartingale:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError("expected '<string> <value>'")
-        sigma = read_bits(parts[0])
-        rank = (1 << len(sigma)) - 1 + int(sigma or "0", 2)  # num_of(sigma), checked once
+        rank = int("1" + read_bits(parts[0]), 2) - 1  # num_of, checked once
         value = read_rational(parts[1])
         if rank < len(nums) or rank in ahead:
             raise ValueError(f"duplicate entry for {excerpt(parts[0])}")
-        if rank > len(nums):
-            ahead[rank] = value
-            return
-        nums.append(value[0])
-        dens.append(value[1])
+        ahead[rank] = value
         while len(nums) in ahead:
             num, den = ahead.pop(len(nums))
             nums.append(num)

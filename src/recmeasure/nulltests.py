@@ -129,7 +129,9 @@ def divergence_partial(e: int, n_max: int) -> Fraction:
 
 def load_clopen(path) -> ClopenSet:
     """Read a clopen set file: one generator per line, ``-`` for the root."""
-    return normalize(read_file(path, read_bits))
+    words: list[str] = []
+    read_file(path, lambda line: words.append(read_bits(line)))
+    return normalize(words)
 
 
 def load_kurtz(path) -> tuple[ClopenSet, ...]:

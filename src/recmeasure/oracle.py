@@ -8,13 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .codec import check_bits, num_of
 from .martingale import Martingale, State, TableMartingale, all_strings, negative, unfair
 from .martingale import savings_start, savings_step, tree
-from .nulltests import ClopenSet, normalize
 from .strategies import coincidence_step
+
+if TYPE_CHECKING:
+    from .nulltests import ClopenSet
 
 # The enumeration guard: the most oracle bits a run reads, and the deepest tree it steps
 GUARD = 20
@@ -55,20 +57,25 @@ class TTFunctional:
         if self.factory is None:
             object.__setattr__(self, "factory", lambda tau, d: OracleMartingale(self, tau, d))
 
-    def levels(self, depth: int) -> tuple[list[int], dict[int, list[str]]]:
-        """use_bound(0..depth), checked monotone and, at depth, within GUARD, and
-        all_strings(w) for each width w = use(n+1) - use(n) that occurs."""
+    def levels(self, depth: int) -> list[list[str]]:
+        """freshes[n], the fresh oracle words read at level n <= depth: all_strings of
+        use(n) - use(n-1), with use(-1) = 0, one list per width.  use(depth) is checked
+        within GUARD before any list is built, then the use bound monotone."""
         if depth < 0:
             raise ValueError("depth must be a natural number")
-        uses = [self.use_bound(n) for n in range(depth + 1)]
-        if uses[-1] > GUARD:
+        if (top := self.use_bound(depth)) > GUARD:
             raise GuardExceeded(
-                f"use bound {uses[-1]} at depth {depth} exceeds the enumeration guard {GUARD}"
+                f"use bound {top} at depth {depth} exceeds the enumeration guard {GUARD}"
             )
-        for n, (a, b) in enumerate(zip(uses, uses[1:])):
-            if b < a:
-                raise UseNotMonotone(f"use bound not monotone: use({n})={a} > use({n+1})={b}")
-        return uses, {w: list(all_strings(w)) for w in {b - a for a, b in zip(uses, uses[1:])}}
+        freshes, words, last = [], {}, 0
+        for n in range(depth + 1):
+            if (use := self.use_bound(n)) < last and n:
+                raise UseNotMonotone(f"use bound not monotone: use({n-1})={last} > use({n})={use}")
+            if use - last not in words:
+                words[use - last] = list(all_strings(use - last))
+            freshes.append(words[use - last])
+            last = use
+        return freshes
 
 
 def constant_functional() -> TTFunctional:
@@ -111,34 +118,32 @@ class AveragedMartingale(Martingale):
     groups maps each state the prefixes reach at sigma to how many reach it."""
 
     def __init__(self, f: TTFunctional, depth: int):
-        self.f, self.depth, (self.uses, self.words) = f, depth, f.levels(depth)
-        self.start = self._mean({f.start: 1 << self.uses[0]}, 0)
+        self.f, self.depth, self.freshes = f, depth, f.levels(depth)
+        self.start = self._mean({f.start: len(self.freshes[0])})
 
-    def _mean(self, groups: dict, n: int) -> State:
+    def _mean(self, groups: dict) -> State:
         den = lcm(*(s[1] for s in groups))
         num = sum(count * s[0] * (den // s[1]) for s, count in groups.items())
-        den <<= self.uses[n]
+        den *= sum(groups.values())  # the 2^use(|sigma|) oracle prefixes
         g = gcd(num, den)
         return num // g, den // g, groups
 
     def _step(self, sigma: str, state: State) -> tuple[State, State]:
-        uses, n = self.uses, len(sigma)
-        zero, one, step, freshes = {}, {}, self.f.step, self.words[uses[n + 1] - uses[n]]
+        zero, one, step = {}, {}, self.f.step
         for s, count in state[2].items():
-            for fresh in freshes:
+            for fresh in self.freshes[len(sigma) + 1]:
                 s0, s1 = step(sigma, s, fresh)
                 zero[s0] = zero.get(s0, 0) + count
                 one[s1] = one.get(s1, 0) + count
-        return self._mean(zero, n + 1), self._mean(one, n + 1)
+        return self._mean(zero), self._mean(one)
 
 
 def averaged_martingale(f: TTFunctional, depth: int) -> TableMartingale:
     """:class:`AveragedMartingale` tabulated; a depth above GUARD raises
-    GuardExceeded before any step or table is made."""
-    n = AveragedMartingale(f, depth)
+    GuardExceeded before any level, step or table is made."""
     if depth > GUARD:
         raise GuardExceeded(f"depth {depth} exceeds the enumeration guard {GUARD}")
-    return n.tabulate(depth)
+    return AveragedMartingale(f, depth).tabulate(depth)
 
 
 def exceed_set(f: TTFunctional, path: str, n: int) -> ClopenSet:
@@ -146,17 +151,18 @@ def exceed_set(f: TTFunctional, path: str, n: int) -> ClopenSet:
 
     A group of oracle prefixes tau[:use(i)] leaves at its first exceedance as
     their extensions to use(|path|); bounds need :func:`savings_functional`."""
+    from .nulltests import normalize
     if n < 0:
         raise ValueError(f"exceed level must be a natural number, got {n}")
-    uses, words = f.levels(len(check_bits(path)))
-    threshold, groups, hits = 2**n + 1, {f.start: list(all_strings(uses[0]))}, []
+    freshes, top = f.levels(len(check_bits(path))), f.use_bound(len(path))
+    threshold, groups, hits = 2**n + 1, {f.start: freshes[0]}, []
     for i in range(len(path) + 1):
         for state in [s for s in groups if s[0] > threshold * s[1]]:
-            hits += (t + r for t in groups.pop(state) for r in all_strings(uses[-1] - uses[i]))
+            hits += (t + r for t in groups.pop(state) for r in all_strings(top - len(t)))
         if i < len(path):
             grown: dict[State, list[str]] = {}
             for state, taus in groups.items():
-                for fresh in words[uses[i + 1] - uses[i]]:
+                for fresh in freshes[i + 1]:
                     child = f.step(path[:i], state, fresh)[path[i] == "1"]
                     grown.setdefault(child, []).extend(tau + fresh for tau in taus)
             groups = grown
@@ -167,18 +173,18 @@ def functional_validate(f: TTFunctional, depth: int) -> list[str]:
     """Nonnegativity and fairness once per (sigma, state, fresh), naming one
     oracle prefix that reaches the state.  A step sees only its fresh bits, so
     the use bound holds by construction; a non-monotone one is reported."""
-    try:
-        uses, words = f.levels(depth)
-    except UseNotMonotone as exc:
-        return [str(exc)]
     if depth > GUARD:
         raise GuardExceeded(f"depth {depth} exceeds the enumeration guard {GUARD}")
+    try:
+        freshes = f.levels(depth)
+    except UseNotMonotone as exc:
+        return [str(exc)]
     violations: list[str] = []
 
     def node(sigma, groups):
-        zero, one, r, n = {}, {}, num_of(sigma), len(sigma)
+        zero, one, r = {}, {}, num_of(sigma)
         for state, tau in groups.items():
-            for fresh in words[uses[n + 1] - uses[n]]:
+            for fresh in freshes[len(sigma) + 1]:
                 s0, s1 = f.step(sigma, state, fresh)
                 bad = unfair(r, *state[:2], *s0[:2], *s1[:2])
                 if bad:
@@ -187,7 +193,7 @@ def functional_validate(f: TTFunctional, depth: int) -> list[str]:
                 one.setdefault(s1, tau + fresh)
         return zero, one
 
-    for r, _, groups in tree({f.start: "0" * uses[0]}, node, depth):
+    for r, _, groups in tree({f.start: freshes[0][0]}, node, depth):
         violations += [
             f"oracle {tau or '-'}: {negative(r, *state[:2])}"
             for state, tau in groups.items()

@@ -378,6 +378,24 @@ class TestCodecCommand:
     def test_interval_output_is_pinned(self, capsys, family, line):
         assert run_cli(capsys, "codec", "--interval", family, "5") == (0, line)
 
+    @pytest.mark.parametrize("family, base, m_max", [("pow2", 2, 14283), ("pow3", 3, 9011)])
+    def test_interval_power_limit(self, capsys, family, base, m_max):
+        # the interval's last integer, about base^(M+1), is printed in full, so it
+        # may have at most MAX_DIGITS digits: the rule that bounds exceed --n
+        assert base ** (m_max + 1) < 10**MAX_DIGITS <= base ** (m_max + 2)
+        code, out = run_cli(capsys, "codec", "--interval", family, str(m_max))
+        assert code == 0 and out.startswith(f"interval({family},{m_max}): ")
+        assert len(out.rstrip().rpartition("..")[2]) == MAX_DIGITS
+        for m in (m_max + 1, 10**8):
+            start = time.perf_counter()
+            assert main(["codec", "--interval", family, str(m)]) == 2
+            assert time.perf_counter() - start < 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: --interval {family} M must be at most {m_max}, the largest M for "
+                f"which {base}^(M+1) has at most {MAX_DIGITS} digits\n")
+
     def test_parity(self, capsys):
         assert run_cli(capsys, "codec", "--parity", "-8") == (0, "parity(-8): 0\n")
         assert run_cli(capsys, "codec", "--parity", "-7") == (0, "parity(-7): 1\n")
@@ -429,6 +447,14 @@ class TestOtherCommands:
             capsys, "average", "--kernel", "coincidence", "--depth", "3"
         )
         assert code == 0 and "N(-): 1/1" in out
+
+    def test_average_guard_checks_depth_first(self, capsys):
+        # every kernel names the depth, before it builds any level list
+        for kernel in cli.KERNELS:
+            assert main(["average", "--kernel", kernel, "--depth", "21"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: depth 21 exceeds the enumeration guard 20\n"
 
     def test_average_guard(self, capsys):
         # a tree deeper than the guard is refused before any node is stepped
@@ -806,6 +832,11 @@ class TestImports:
         modules, _ = loaded_modules(argv)
         assert not modules & {"dataclasses", "inspect"}
 
+    def test_average_loads_no_nulltests(self):
+        modules, out = loaded_modules(["average", "--kernel", "coincidence", "--depth", "2"])
+        assert "recmeasure.oracle" in modules and "recmeasure.nulltests" not in modules
+        assert out.startswith(b"kernel: coincidence\nN(-): 1/1\n")
+
     def test_average_loads_dataclasses(self):
         # oracle.TTFunctional stays a dataclass while bench/tracing.py calls
         # dataclasses.replace on it; ROADMAP item 2 lifts that.
@@ -871,6 +902,23 @@ class TestBenchTracer:
                 "codec.budget_sequence"} <= {span[0] for span in tracer.spans}
         assert tracer.counts["martingale.load_table.lines"] == len(table.read_text().splitlines())
         assert nulltests.ClopenSet.__post_init__ is check
+
+    def test_exceed_set_normalize_is_traced(self, monkeypatch):
+        # exceed_set imports normalize when it runs, so it calls the tracer's wrapper
+        from recmeasure import oracle
+
+        monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+        import tracing
+
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            ex = oracle.exceed_set(oracle.savings_functional(
+                oracle.oracle_coincidence_functional()), "0110", 1)
+        finally:
+            tracer.uninstall()
+        assert tracer.counts["nulltests.normalize.words_out"] == len(ex.generators) > 0
+        assert "nulltests.normalize" in {span[0] for span in tracer.spans}
 
 
 def run_subprocess(argv, hashseed):

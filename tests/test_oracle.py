@@ -71,16 +71,22 @@ class TestAveraged:
             raise AssertionError("stepped past the guard")
 
         f = TTFunctional("never", lambda n: 0, (1, 1), step)
+        path = "0" * 10**6
         tracemalloc.start()
         try:
-            for kernel, run in [
-                (f, averaged_martingale),
-                (f, functional_validate),
-                (constant_functional(), averaged_martingale),
-                (oracle_coincidence_functional(), averaged_martingale),
+            for run, *args in [
+                (averaged_martingale, f, GUARD + 1),
+                (functional_validate, f, GUARD + 1),
+                (averaged_martingale, constant_functional(), GUARD + 1),
+                (averaged_martingale, oracle_coincidence_functional(), GUARD + 1),
+                # far past the guard, depth and use are refused before any level list
+                (averaged_martingale, oracle_coincidence_functional(), 10**6),
+                (averaged_martingale, constant_functional(), 10**6),
+                (functional_validate, constant_functional(), 10**6),
+                (exceed_set, oracle_coincidence_functional(), path, 1),
             ]:
                 with pytest.raises(GuardExceeded, match=f"exceeds the enumeration guard {GUARD}"):
-                    run(kernel, GUARD + 1)
+                    run(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
