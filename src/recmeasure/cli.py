@@ -76,9 +76,10 @@ def _show(sigma: str) -> str:
     return sigma if sigma else "-"
 
 
-def _numbered(label: str, c) -> list[Result]:
-    """``label_i: word`` for the generators of the clopen set ``c``, shortest first."""
-    return [(f"{label}_{i}", _show(g)) for i, g in enumerate(c.sorted_generators())]
+def _numbered(label: str, c) -> Iterator[Result]:
+    """``label_i: word`` for the generators of the clopen set ``c``, shortest first,
+    each made as it is written; the generators are sorted at the call."""
+    return ((f"{label}_{i}", _show(g)) for i, g in enumerate(c.sorted_generators()))
 
 
 def _input_martingale(args) -> martingale.Martingale:
@@ -135,14 +136,14 @@ def cmd_codec(args) -> tuple[list[Result], list[str]]:
     return results, []
 
 
-def cmd_budget(args) -> tuple[list[Result], list[str]]:
+def cmd_budget(args) -> tuple[Iterable[Result], list[str]]:
     from fractions import Fraction
     terms, remainder = codec.budget_sequence(args.k)
-    results = [(f"r_{i}", fmt(r)) for i, r in enumerate(terms)]
     # budget_sequence guarantees sum_i (i+1)*r_i + remainder == 1/2
-    results.append(("weighted_partial_sum", fmt(Fraction(1, 2) - remainder)))
-    results.append(("remainder", fmt(remainder)))
-    return results, []
+    return chain(((f"r_{i}", fmt(r)) for i, r in enumerate(terms)), [
+        ("weighted_partial_sum", fmt(Fraction(1, 2) - remainder)),
+        ("remainder", fmt(remainder)),
+    ]), []
 
 
 def cmd_validate(args) -> tuple[list[Result], list[str]]:
@@ -181,20 +182,18 @@ def cmd_adversary(args) -> tuple[Iterable[Result], list[str]]:
     return results, violations
 
 
-def cmd_average(args) -> tuple[list[Result], list[str]]:
+def cmd_average(args) -> tuple[Iterable[Result], list[str]]:
     from . import martingale, oracle
     f = _functional(args)
     n = oracle.averaged_martingale(f, args.depth)
-    results: list[Result] = [("kernel", f.name)]
-    results += [
+    results = chain([("kernel", f.name)], (
         (f"N({_show(codec.str_of(r))})", f"{num}/{den}")
         for r, (num, den) in enumerate(zip(n.nums, n.dens))
-    ]
-    violations = martingale.validate(n, args.depth)
-    return results, violations
+    ))
+    return results, martingale.validate(n, args.depth)
 
 
-def cmd_exceed(args) -> tuple[list[Result], list[str]]:
+def cmd_exceed(args) -> tuple[Iterable[Result], list[str]]:
     # the report prints 2/2^n in full; 2^n < 10^MAX_DIGITS keeps it to MAX_DIGITS digits
     n_max = _max_power(2)
     if args.n > n_max:
@@ -212,35 +211,30 @@ def cmd_exceed(args) -> tuple[list[Result], list[str]]:
         path = strategies.adversary_sequence(oracle.AveragedMartingale(f, args.depth), args.depth)
     exceed = oracle.exceed_set(f, path, args.n)
     mu, bound = exceed.measure(), Fraction(2, 2**args.n)
-    results: list[Result] = [
+    results = chain([
         ("kernel", f.name),
         ("path", _show(path)),
         ("level", str(args.n)),
         ("measure", fmt(mu)),
         ("bound", fmt(bound)),
-    ]
-    results += _numbered("member", exceed)
-    violations = []
-    if mu > bound:
-        violations.append(f"exceed-set measure {mu} above bound {bound}")
+    ], _numbered("member", exceed))
+    violations = [f"exceed-set measure {mu} above bound {bound}"] if mu > bound else []
     return results, violations
 
 
-def cmd_measure(args) -> tuple[list[Result], list[str]]:
+def cmd_measure(args) -> tuple[Iterable[Result], list[str]]:
     from . import nulltests
     c = nulltests.load_clopen(args.file)
-    return [("measure", fmt(c.measure())), *_numbered("generator", c)], []
+    return chain([("measure", fmt(c.measure()))], _numbered("generator", c)), []
 
 
-def cmd_engulf(args) -> tuple[list[Result], list[str]]:
+def cmd_engulf(args) -> tuple[Iterable[Result], list[str]]:
     from . import nulltests
     rows = [nulltests.load_kurtz(p) for p in args.rows]
     f_j, bound = nulltests.engulf_transform(rows, args.j)
     mu = f_j.measure()
-    results = [("measure", fmt(mu)), ("bound", fmt(bound)), *_numbered("generator", f_j)]
-    violations = []
-    if mu > bound:
-        violations.append(f"engulfed measure {mu} above bound {bound}")
+    results = chain([("measure", fmt(mu)), ("bound", fmt(bound))], _numbered("generator", f_j))
+    violations = [f"engulfed measure {mu} above bound {bound}"] if mu > bound else []
     return results, violations
 
 
@@ -256,20 +250,19 @@ def cmd_dnr_cover(args) -> tuple[list[Result], list[str]]:
     return results, violations
 
 
-def cmd_param(args) -> tuple[list[Result], list[str]]:
+def cmd_param(args) -> tuple[Iterable[Result], list[str]]:
     from . import param
     p = param.load_parametrization(args.file)
     if args.halve:
         p = param.halve_transform(p)
-    results: list[Result] = [("depth", str(p.depth))]
+    results: Iterable[Result] = [("depth", str(p.depth))]
     if args.halve:
-        results += [(f"row_{i}", row) for i, row in enumerate(p.rows)]
+        results = chain(results, ((f"row_{i}", row) for i, row in enumerate(p.rows)))
     if args.target is not None:
         report = param.io_match_report(p, codec.read_bits(args.target))
-        results += [
-            (f"row_{i}", f"consistent={fmt(ok)} hits={h}")
-            for i, (ok, h) in enumerate(report)
-        ]
+        results = chain(results, (
+            (f"row_{i}", f"consistent={fmt(ok)} hits={h}") for i, (ok, h) in enumerate(report)
+        ))
     return results, []
 
 

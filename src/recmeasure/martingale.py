@@ -63,10 +63,12 @@ class Martingale:
         """Exact capital at every prefix of ``path`` as (numerator, denominator)."""
         if len(check_bits(path)) > self.depth:
             raise ValueError(f"query {excerpt(path)} exceeds martingale depth {self.depth}")
-        states = [self.start]
-        for n, bit in enumerate(path):
-            states.append(self._step(path[:n], states[-1])[bit == "1"])
-        return [state[:2] for state in states]
+        sigma, state, capitals = "", self.start, [self.start[:2]]
+        for bit in path:
+            state = self._step(sigma, state)[bit == "1"]
+            capitals.append(state[:2])
+            sigma += bit  # in place: sigma is its string's one reference
+        return capitals
 
     def tabulate(self, depth: int) -> TableMartingale:
         """The exact values of every string of length <= depth as a table, each

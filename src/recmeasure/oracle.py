@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .codec import check_bits, num_of
+from .codec import check_bits, excerpt, num_of
 from .martingale import Martingale, State, TableMartingale, all_strings, negative, unfair
 from .martingale import savings_start, savings_step, tree
 from .strategies import coincidence_step
@@ -31,9 +31,12 @@ class UseNotMonotone(ValueError):
 
 
 class OracleMartingale(Martingale):
-    """M^tau: the functional's step fed with the fresh bits of the oracle word tau."""
+    """M^tau: the functional's step fed with the fresh bits of the oracle word tau,
+    which holds the use(depth) bits read up to depth."""
 
     def __init__(self, f: TTFunctional, tau: str, depth: int):
+        if len(check_bits(tau)) < (use := f.use_bound(depth)):
+            raise ValueError(f"oracle word {excerpt(tau)} is shorter than use({depth}) = {use}")
         self.f, self.tau, self.depth, self.start = f, tau, depth, f.start
 
     def _step(self, sigma: str, state: State) -> tuple[State, State]:
@@ -155,7 +158,7 @@ def exceed_set(f: TTFunctional, path: str, n: int) -> ClopenSet:
     if n < 0:
         raise ValueError(f"exceed level must be a natural number, got {n}")
     freshes, top = f.levels(len(check_bits(path))), f.use_bound(len(path))
-    threshold, groups, hits = 2**n + 1, {f.start: freshes[0]}, []
+    threshold, groups, hits, sigma = 2**n + 1, {f.start: freshes[0]}, [], ""
     for i in range(len(path) + 1):
         for state in [s for s in groups if s[0] > threshold * s[1]]:
             hits += (t + r for t in groups.pop(state) for r in all_strings(top - len(t)))
@@ -163,9 +166,10 @@ def exceed_set(f: TTFunctional, path: str, n: int) -> ClopenSet:
             grown: dict[State, list[str]] = {}
             for state, taus in groups.items():
                 for fresh in freshes[i + 1]:
-                    child = f.step(path[:i], state, fresh)[path[i] == "1"]
+                    child = f.step(sigma, state, fresh)[path[i] == "1"]
                     grown.setdefault(child, []).extend(tau + fresh for tau in taus)
             groups = grown
+            sigma += path[i]  # in place, as in Martingale.walk
     return normalize(hits)
 
 

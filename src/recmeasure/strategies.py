@@ -64,9 +64,8 @@ def adversary_sequence(m: Martingale, length: int) -> str:
     for _ in range(length):
         zero, one = m._step(path, state)
         # capitals compared as fractions over positive denominators
-        if zero[0] * one[1] <= one[0] * zero[1]:
-            path, state = path + "0", zero
-        else:
-            path, state = path + "1", one
+        up = zero[0] * one[1] > one[0] * zero[1]
+        state = one if up else zero
+        path += "1" if up else "0"  # in place, as in Martingale.walk
     return path
 

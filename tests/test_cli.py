@@ -25,6 +25,19 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+class Sink:
+    """A stdout that counts the characters written to it and keeps none."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
 @pytest.fixture
 def clopen_file(tmp_path):
     path = tmp_path / "clopen.txt"
@@ -558,16 +571,6 @@ class TestOtherCommands:
     def test_adversary_report_is_written_line_by_line(self, monkeypatch):
         # the M(prefix) labels make the report quadratic in the depth; building
         # it whole as well (lines, join, final newline) peaked near 4x its size
-        class Sink:
-            size = 0
-
-            def write(self, text):
-                self.size += len(text)
-
-            def writelines(self, lines):
-                for line in lines:
-                    self.write(line)
-
         sink = Sink()
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
@@ -582,16 +585,6 @@ class TestOtherCommands:
     def test_adversary_labels_are_made_as_written(self, monkeypatch):
         # the trace itself is about a tenth of the report here; a list of
         # every M(prefix) label would be a whole copy of it
-        class Sink:
-            size = 0
-
-            def write(self, text):
-                self.size += len(text)
-
-            def writelines(self, lines):
-                for line in lines:
-                    self.write(line)
-
         sink = Sink()
         monkeypatch.setattr(sys, "stdout", sink)
         # loads the modules the command imports, outside the measurement
@@ -605,6 +598,25 @@ class TestOtherCommands:
             tracemalloc.stop()
         assert status == 0 and sink.size > 3000**2 // 2
         assert peak < sink.size // 5
+
+    @pytest.mark.parametrize("argv, limit", [
+        (["average", "--kernel", "constant", "--depth", "14"], 4 << 20),
+        (["budget", "--k", "10000"], 12 << 20),
+    ], ids=["average", "budget"])
+    def test_report_lines_are_made_as_written(self, monkeypatch, argv, limit):
+        # a list of every formatted line peaked at 6.6 and 23.2 MiB on CPython 3.11
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        # loads the modules the command imports, outside the measurement
+        assert main(argv[:-1] + ["1"]) == 0
+        tracemalloc.start()
+        try:
+            status = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0 and sink.size > 0
+        assert peak < limit
 
     def test_dnr_cover_past_the_int_digit_limit(self, capsys):
         code, out = run_cli(capsys, "dnr-cover", "--e", "3", "--n", "900")
@@ -641,9 +653,12 @@ class TestOtherCommands:
     @pytest.mark.parametrize("argv", [
         ["trace", "--strategy", "pair-doubling", "--depth", "6", "--path", "001101"],
         ["adversary", "--strategy", "pair-doubling", "--depth", "6"],
-    ], ids=["trace", "adversary"])
+        ["average", "--kernel", "savings-coincidence", "--depth", "4"],
+        ["budget", "--k", "6"],
+        ["exceed", "--kernel", "savings-coincidence", "--depth", "8", "--n", "1"],
+    ], ids=["trace", "adversary", "average", "budget", "exceed"])
     def test_json_report_of_a_lazy_report(self, capsys, argv):
-        # the two reports made as they are written give JSON the same results
+        # a report made as it is written gives JSON the same results
         code, text = run_cli(capsys, *argv)
         json_code, out = run_cli(capsys, "--json", *argv)
         assert code == json_code == 0

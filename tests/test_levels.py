@@ -568,11 +568,12 @@ class TestDeepQueries:
 
         m = StrategyMartingale(len(ref), Fraction(1), rule)
         path = adversary_sequence(m, len(ref))
-        # one rule call per greedy step: both children come from one step
-        assert len(calls) == len(ref)
+        # one rule call per greedy step: both children come from one step,
+        # each handed exactly the prefix of the path it stands on
+        assert calls == [path[:n] for n in range(len(ref))]
         # the trace of that path, as the adversary command prints it
         capital_trace(m, path)
-        assert len(calls) == 2 * len(ref)
+        assert calls[len(ref):] == [path[:n] for n in range(len(path))]
         calls.clear()
         SavingsMartingale(m).walk(path)
         assert len(calls) == len(path)

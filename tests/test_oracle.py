@@ -113,10 +113,11 @@ class TestFunctionalValidate:
         # a step is handed tau[use(n):use(n+1)] and nothing else, so no
         # martingale of the family can read past its use bound
         uses = [0, 2, 2, 3, 5]
-        seen = []
+        seen, sigmas = [], []
 
         def step(sigma, state, fresh):
             seen.append((len(sigma), fresh))
+            sigmas.append(sigma)
             return coincidence_step(sigma, state, fresh[:1])
 
         f = TTFunctional("widths", lambda n: uses[n], (1, 1), step)
@@ -129,6 +130,11 @@ class TestFunctionalValidate:
             seen.clear()
             run()
             assert seen and all(len(fresh) == widths[n] for n, fresh in seen)
+        # exceed_set hands each step exactly the prefix of its path it stands on
+        sigmas.clear()
+        exceed_set(f, "0110", 1)
+        assert sigmas and all(sigma == "0110"[:len(sigma)] for sigma in sigmas)
+        assert {len(sigma) for sigma in sigmas} == {0, 1, 2, 3}
         # the averaging pass hands every fresh word to each level
         seen.clear()
         averaged_martingale(f, 4)
@@ -138,6 +144,18 @@ class TestFunctionalValidate:
         seen.clear()
         f.factory("10110", 4).walk("0101")
         assert seen == [(0, "10"), (1, ""), (2, "1"), (3, "10")]
+
+    def test_factory_rejects_a_short_oracle_word(self):
+        # a short word once sliced to "" past its end, so M^tau bet nothing there
+        f = oracle_coincidence_functional()
+        assert capital_trace(f.factory("111", 3), "111")[-1] == Fraction(27, 8)
+        assert capital_trace(f.factory("1110", 3), "111")[-1] == Fraction(27, 8)
+        for tau in ("1", "11", "", "1x1"):
+            with pytest.raises(ValueError):
+                f.factory(tau, 3)
+        with pytest.raises(ValueError, match=r"oracle word '1' is shorter than use\(3\) = 3"):
+            f.factory("1", 3)
+        assert constant_functional().factory("", 5).walk("01010") == [(1, 1)] * 6
 
     def test_unfair_and_negative_steps_reported_with_sigma(self):
         def step(sigma, state, fresh):
