@@ -293,10 +293,12 @@ def load_table(path) -> TableMartingale:
         if text.count("/") < len(values):
             values = [v if "/" in v else v + "/1" for v in values]
         parts = "/".join(values).split("/")
-        new_dens = list(map(int, parts[1::2]))
+        distinct = set(parts)  # each distinct token becomes one int, shared by its copies
+        value = dict(zip(distinct, map(int, distinct)))
+        new_dens = list(map(value.__getitem__, parts[1::2]))
         if 0 in new_dens:
             return False
-        nums.extend(map(int, parts[0::2]))
+        nums.extend(map(value.__getitem__, parts[0::2]))
         dens.extend(new_dens)
         return True
 

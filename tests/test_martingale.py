@@ -277,8 +277,8 @@ class TestTableIO:
 
     def test_rank_ordered_load_peak_memory(self, tmp_path):
         # filed at its rank as read, an entry costs its two ints and their
-        # array slots, about 90 B here; the bound leaves no room for a dict
-        # entry and a tuple per line as well
+        # array slots, about 100 B here, where no value repeats; the bound
+        # leaves no room for a dict entry and a tuple per line as well
         depth, rng = 12, random.Random(12)
         lines = [
             f"{sigma or '-'} {rng.randrange(1, 10**6)}/{rng.randrange(1, 10**6)}"
@@ -296,18 +296,23 @@ class TestTableIO:
         assert peak < 128 * len(lines)
 
 
-def random_entries(rng: random.Random, depth: int) -> tuple[list[list[str]], list[int], list[int]]:
+def random_entries(rng: random.Random, depth: int,
+                   pool: int = 0) -> tuple[list[list[str]], list[int], list[int]]:
     """``[word, value]`` for every string up to ``depth`` in rank order, and the
-    numerators and denominators the values read as (unreduced, signed or bare)."""
-    entries, nums, dens = [], [], []
-    for sigma in strings_up_to(depth):
+    numerators and denominators the values read as (unreduced, signed or bare);
+    with ``pool``, every value is one of that many drawn first."""
+
+    def draw() -> tuple[str, int, int]:
         num, den = rng.randint(-10**6, 10**6), rng.choice([1, rng.randint(1, 10**6)])
         form = rng.randrange(3)
         if form == 0:
-            value = f"{num}/{den}"
-        else:
-            den = 1
-            value = f"+{num}" if form == 1 and num >= 0 else str(num)
+            return f"{num}/{den}", num, den
+        return (f"+{num}" if form == 1 and num >= 0 else str(num)), num, 1
+
+    values = [draw() for _ in range(pool)]
+    entries, nums, dens = [], [], []
+    for sigma in strings_up_to(depth):
+        value, num, den = rng.choice(values) if pool else draw()
         entries.append([sigma or "-", value])
         nums.append(num)
         dens.append(den)
@@ -344,10 +349,11 @@ class TestBlockRead:
     rank order, no comments), and every other block goes line by line."""
 
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32), depth=st.integers(9, 12))
-    def test_every_layout_loads_alike(self, tmp_path_factory, seed, depth):
+    # a small pool repeats values, which the block path reads once per block
+    @given(seed=st.integers(0, 2**32), depth=st.integers(9, 12), pool=st.sampled_from([0, 3, 40]))
+    def test_every_layout_loads_alike(self, tmp_path_factory, seed, depth, pool):
         rng = random.Random(seed)
-        entries, nums, dens = random_entries(rng, depth)
+        entries, nums, dens = random_entries(rng, depth, pool)
         commented = [*entries]
         commented.insert(rng.randrange(len(entries) + 1), ["#", "a comment"])
         shuffled = [*entries]
@@ -367,6 +373,36 @@ class TestBlockRead:
             m = load_table(folder / name)
             assert m.depth == depth, name
             assert m.nums == tuple(nums) and m.dens == tuple(dens), name
+
+    def test_equal_values_in_a_block_share_one_int(self, tmp_path):
+        # above 256, where CPython's small-int cache shares nothing
+        pool = ["1000/3000", "1001/3000", "-1002/3001", "1000"]
+        rng = random.Random(5)
+        entries = [[sigma or "-", rng.choice(pool)] for sigma in strings_up_to(10)]
+        path = tmp_path / "t.txt"
+        path.write_text(table_text(entries))
+        m = load_table(path)
+        first = at_chars(entries, _BLOCK_CHARS)  # every line that starts in block 1
+        for values in m.nums[:first], m.dens[:first]:
+            assert len(set(map(id, values))) == len(set(values)) == 3
+
+    def test_repeated_values_load_peak_memory(self, tmp_path):
+        # 3^zeros / 2^length repeats most values within a block; read once
+        # each, an entry costs about 53 B here, where one int per token cost 90 B
+        depth = 12
+        path = tmp_path / "t.txt"
+        path.write_text("".join(
+            f"{sigma or '-'} {3 ** sigma.count('0')}/{2 ** len(sigma)}\n"
+            for sigma in strings_up_to(depth)
+        ))
+        tracemalloc.start()
+        try:
+            m = load_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.depth == depth
+        assert peak < 70 * len(m.nums)
 
     @pytest.mark.parametrize("sep, parsed", [(" ", 0), ("\t", 2**13 - 1)], ids=["space", "tab"])
     def test_canonical_layout_skips_the_line_parser(self, tmp_path, monkeypatch, sep, parsed):
