@@ -241,7 +241,9 @@ def cmd_engulf(args) -> tuple[Iterable[Result], list[str]]:
 def cmd_dnr_cover(args) -> tuple[list[Result], list[str]]:
     from . import nulltests
     first, last, nonpositive = nulltests.dnr_cover_product(args.e, args.n)
-    results: list[Result] = [("P_0", fmt(first)), (f"P_{args.n}", fmt(last))]
+    results: list[Result] = [("P_0", fmt(first))]
+    if args.n > 0:
+        results.append((f"P_{args.n}", fmt(last)))
     if args.n >= args.e + 2:
         results.append(
             (f"divergence_partial_{args.n}", fmt(nulltests.divergence_partial(args.e, args.n)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd
 from numbers import Rational
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -99,24 +99,28 @@ class TableMartingale(Martingale):
     value at the string of rank r (see :func:`codec.num_of`) is ``nums[r] /
     dens[r]``, two ints with ``dens[r] > 0``, for r < 2^(depth+1) - 1.  The
     state at sigma carries its rank r, so a step reads ranks 2r+1 and 2r+2.
-    Callers file their values by rank and pass the two arrays."""
+    Callers file their values by rank and hand the two arrays over: the table
+    keeps them as given, with no copy, so the caller must not change them."""
 
     def __init__(self, depth: int, nums: Sequence[int], dens: Sequence[int]):
         if depth < 0:
             raise ValueError("depth must be a natural number")
-        self.depth, self.nums, self.dens = depth, tuple(nums), tuple(dens)
-        if not len(self.nums) == len(self.dens) == (2 << depth) - 1:
+        self.depth, self.nums, self.dens = depth, nums, dens
+        if not len(nums) == len(dens) == (2 << depth) - 1:
             raise ValueError(f"a table of depth {depth} takes {(2 << depth) - 1} values")
-        if not {*map(type, self.nums), *map(type, self.dens)} <= {int}:
-            bad = next(x for x in self.nums + self.dens if type(x) is not int)
+        if not {*map(type, nums), *map(type, dens)} <= {int}:
+            bad = next(x for x in chain(nums, dens) if type(x) is not int)
             raise ValueError(f"table entry {bad!r} is not an int")
-        if min(self.dens) <= 0:
-            raise ValueError(f"table denominator {min(self.dens)} is not positive")
-        self.start = self.nums[0], self.dens[0], 0
+        if min(dens) <= 0:
+            raise ValueError(f"table denominator {min(dens)} is not positive")
+        self.start = nums[0], dens[0], 0
 
     def tabulate(self, depth: int) -> TableMartingale:
-        """This table cut to strings of length <= depth, with no step."""
+        """This table cut to strings of length <= depth, with no step; at its
+        own depth, a plain table that shares these arrays."""
         self._check_depth(depth)
+        if depth == self.depth:
+            return TableMartingale(depth, self.nums, self.dens)
         size = (2 << depth) - 1
         return TableMartingale(depth, self.nums[:size], self.dens[:size])
 

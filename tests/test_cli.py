@@ -547,8 +547,11 @@ class TestOtherCommands:
             0, "measure: 1/4\nbound: 1/4\ngenerator_0: 00\n")
 
     def test_dnr_cover(self, capsys):
+        # P_0 is P_n here, and is written once
         code, out = run_cli(capsys, "dnr-cover", "--e", "0", "--n", "0")
-        assert code == 0 and "P_0: 7/8" in out
+        assert code == 0 and out == "P_0: 7/8\n"
+        code, out = run_cli(capsys, "dnr-cover", "--e", "0", "--n", "1")
+        assert code == 0 and out == "P_0: 7/8\nP_1: 105/128\n"
 
     def test_dnr_cover_violations_match_a_fraction_scan(self, capsys, monkeypatch):
         # a size-0 interval makes the factor 0 at n = 3, so P_4..P_6 stop decreasing

@@ -64,6 +64,30 @@ class TestValidate:
             with pytest.raises(ValueError, match="a table of depth 1 takes 3 values"):
                 TableMartingale(1, nums, dens)
 
+    def test_bad_entry_named_in_mixed_arrays(self):
+        # a list and a tuple do not concatenate; the entry is still named
+        with pytest.raises(ValueError, match=r"table entry Fraction\(1, 1\) is not an int"):
+            TableMartingale(0, [Fraction(1)], (1,))
+
+
+class TestOneCopy:
+    """A table keeps the arrays it is given, so each table is held once."""
+
+    def test_table_keeps_the_arrays_it_is_given(self):
+        nums, dens = [1, 2, 0], [1, 1, 1]
+        m = TableMartingale(1, nums, dens)
+        assert m.nums is nums and m.dens is dens
+
+    def test_full_depth_tabulate_shares_the_arrays(self):
+        class Labelled(TableMartingale):
+            pass
+
+        # a subclass's table comes back as a plain TableMartingale all the same
+        for m in constant_one(3), Labelled(3, [1] * 15, [1] * 15):
+            t = m.tabulate(3)
+            assert type(t) is TableMartingale and t.depth == 3
+            assert t.nums is m.nums and t.dens is m.dens
+
 
 class TestEvaluate:
     def test_constant(self):
@@ -242,7 +266,8 @@ class TestTableIO:
         (folder / "shuffled.txt").write_text("\n".join(shuffled) + "\n")
         ranked, loaded = load_table(folder / "ranked.txt"), load_table(folder / "shuffled.txt")
         assert ranked.depth == loaded.depth == depth
-        assert ranked.nums == loaded.nums == nums and ranked.dens == loaded.dens == dens
+        assert list(ranked.nums) == list(loaded.nums) == list(nums)
+        assert list(ranked.dens) == list(loaded.dens) == list(dens)
 
     @pytest.mark.parametrize(
         "text, lineno, word",
@@ -340,7 +365,7 @@ def load_outcome(path) -> object:
         m = load_table(path)
     except ValueError as exc:
         return str(exc).replace(str(path), "<path>")
-    return m.nums, m.dens
+    return list(m.nums), list(m.dens)
 
 
 class TestBlockRead:
@@ -372,7 +397,7 @@ class TestBlockRead:
             (folder / name).write_bytes(text.encode())
             m = load_table(folder / name)
             assert m.depth == depth, name
-            assert m.nums == tuple(nums) and m.dens == tuple(dens), name
+            assert list(m.nums) == nums and list(m.dens) == dens, name
 
     def test_equal_values_in_a_block_share_one_int(self, tmp_path):
         # above 256, where CPython's small-int cache shares nothing
@@ -404,6 +429,23 @@ class TestBlockRead:
         assert m.depth == depth
         assert peak < 70 * len(m.nums)
 
+    def test_load_holds_one_copy_of_the_table(self, tmp_path):
+        # the loader's two lists become the table's arrays: about 19 B/entry
+        # here at the peak, where a second copy of both arrays made it 33.5
+        depth = 16
+        path = tmp_path / "t.txt"
+        with open(path, "w") as fh:
+            fh.writelines(f"{sigma or '-'} {3 ** sigma.count('0')}/{2 ** len(sigma)}\n"
+                          for sigma in strings_up_to(depth))
+        tracemalloc.start()
+        try:
+            m = load_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.depth == depth
+        assert peak < 26 * len(m.nums)
+
     @pytest.mark.parametrize("sep, parsed", [(" ", 0), ("\t", 2**13 - 1)], ids=["space", "tab"])
     def test_canonical_layout_skips_the_line_parser(self, tmp_path, monkeypatch, sep, parsed):
         from recmeasure import martingale
@@ -414,7 +456,7 @@ class TestBlockRead:
         entries, nums, _ = random_entries(random.Random(12), 12)
         path = tmp_path / "t.txt"
         path.write_text(table_text(entries, sep=sep))
-        assert load_table(path).nums == tuple(nums)
+        assert list(load_table(path).nums) == nums
         assert len(calls) == parsed
 
     @pytest.mark.parametrize("fault", [
@@ -455,10 +497,10 @@ class TestBlockRead:
             # blocks go line by line and the block path takes over after
             entry = entries.pop(at_chars(entries, 1.5 * _BLOCK_CHARS))
             entries.insert(at_chars(entries, 5.5 * _BLOCK_CHARS), entry)
-            message = (tuple(nums), tuple(dens))
+            message = (nums, dens)
         else:
             last = ""
-            message = (tuple(nums), tuple(dens))
+            message = (nums, dens)
         canonical, tab = tmp_path / "canonical.txt", tmp_path / "tab.txt"
         canonical.write_bytes(table_text(entries, last=last).encode("latin-1"))
         tab.write_bytes(table_text(entries, sep="\t", last=last).encode("latin-1"))

@@ -64,6 +64,17 @@ class TestAveraged:
             for sigma in strings_up_to(depth):
                 assert capital_trace(n, sigma)[-1] == brute_force_average(f, sigma, depth), name
 
+    def test_average_holds_one_copy_of_the_table(self):
+        # the tree walk's two lists become the table's arrays: about 58 B/entry
+        # at the peak, where a second copy of both arrays made it 74
+        tracemalloc.start()
+        try:
+            n = averaged_martingale(oracle_coincidence_functional(), 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 66 * len(n.nums)
+
     def test_guard(self):
         # a tree one level deeper than GUARD fails before it steps or allocates:
         # its two rank arrays alone would take 2^(GUARD+2) slots
