@@ -117,8 +117,11 @@ class TableMartingale(Martingale):
 
     def tabulate(self, depth: int) -> TableMartingale:
         """This table cut to strings of length <= depth, with no step; at its
-        own depth, a plain table that shares these arrays."""
+        own depth, the table itself, or for a subclass a plain table that
+        shares these arrays."""
         self._check_depth(depth)
+        if depth == self.depth and type(self) is TableMartingale:
+            return self
         if depth == self.depth:
             return TableMartingale(depth, self.nums, self.dens)
         size = (2 << depth) - 1

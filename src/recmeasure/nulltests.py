@@ -7,23 +7,41 @@ measure is the exact dyadic sum over the generators.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .codec import check_bits, excerpt, is_digits, logpart_size, read_bits, read_file, s_index
 
+# the words _check_words joins for one check: a few KB, where one copy of
+# every word would raise a load's peak
+_BATCH = 256
 
-def _minimal(words: Iterable[str]) -> list[str]:
-    """The words with no proper prefix among the others, sorted, duplicates dropped.
+
+def _minimal(words: list[str]) -> list[str]:
+    """The words with no proper prefix among the others, sorted, duplicates
+    dropped; ``words`` is sorted in place.
 
     In lexicographic order the extensions of a word follow it directly, so a
     word has a proper prefix or a copy before it exactly when the last kept
     word is a prefix of it.
     """
+    words.sort()
     kept: list[str] = []
-    for w in sorted(words):
+    for w in words:
         if not kept or not w.startswith(kept[-1]):
             kept.append(w)
     return kept
+
+
+def _check_words(words: Iterable[str]) -> None:
+    """Reject any word that is not over {0,1}, each batch of words in one
+    C-level pass; on a failure :func:`codec.check_bits` names the first bad word."""
+    it = iter(words)
+    while batch := list(islice(it, _BATCH)):
+        joined = "".join(batch)
+        if not joined.isascii() or joined.encode().translate(None, b"01"):
+            for w in batch:
+                check_bits(w)
 
 
 class ClopenSet:
@@ -37,9 +55,11 @@ class ClopenSet:
 
     def __post_init__(self) -> None:
         """Reject generators that are not binary strings or not an antichain."""
-        for g in self.generators:
-            check_bits(g)
-        if len(_minimal(self.generators)) != len(self.generators):
+        _check_words(self.generators)
+        # the extensions of a word follow it directly in sorted order, so the
+        # set is an antichain exactly when no word extends the one before it
+        s = sorted(self.generators)
+        if any(map(str.startswith, s[1:], s)):
             raise ValueError("generators must form an antichain")
 
     def measure(self) -> Fraction:
@@ -48,12 +68,15 @@ class ClopenSet:
         return Fraction(sum(1 << (top - len(g)) for g in self.generators), 1 << top)
 
     def sorted_generators(self) -> list[str]:
-        return sorted(self.generators, key=lambda g: (len(g), g))
+        # the sort is stable, so the words of one length stay in lexicographic order
+        return sorted(sorted(self.generators), key=len)
 
 
 def normalize(strings: Iterable[str]) -> ClopenSet:
     """Drop every string that has a proper prefix in the set."""
-    return ClopenSet(frozenset(_minimal(check_bits(s) for s in strings)))
+    words = list(strings)
+    _check_words(words)
+    return ClopenSet(frozenset(_minimal(words)))
 
 
 def kurtz_validate(levels: Sequence[ClopenSet]) -> list[str]:
@@ -128,15 +151,33 @@ def divergence_partial(e: int, n_max: int) -> Fraction:
 
 
 def load_clopen(path) -> ClopenSet:
-    """Read a clopen set file: one generator per line, ``-`` for the root."""
+    """Read a clopen set file: one generator per line, ``-`` for the root.
+
+    A block of lines that holds only ``0``, ``1`` and newlines is taken
+    whole (see :func:`codec.read_file`); every other line goes through
+    ``parse``.
+    """
     words: list[str] = []
-    read_file(path, lambda line: words.append(read_bits(line)))
+
+    def block(lines: list[str]) -> bool:
+        text = "".join(lines)
+        if text.encode().translate(None, b"01\n"):
+            return False
+        words.extend(text.split())
+        return True
+
+    read_file(path, lambda line: words.append(read_bits(line)), block)
     return normalize(words)
 
 
 def load_kurtz(path) -> tuple[ClopenSet, ...]:
     """Read a Kurtz test file, ``[level i]`` sections followed by generators,
-    as its levels G_0..G_k."""
+    as its levels G_0..G_k.
+
+    A block of lines of bits and canonical headers, each ``[level i]`` at
+    the start of its line with i the next index in plain digits, is taken
+    whole; every other line goes through ``parse``.
+    """
     levels: list[set[str]] = []
 
     def parse(line: str) -> None:
@@ -155,5 +196,23 @@ def load_kurtz(path) -> tuple[ClopenSet, ...]:
         else:
             raise ValueError("generator before any [level i]")
 
-    read_file(path, parse)
+    def block(lines: list[str]) -> bool:
+        # a header counts only at the start of a line, so "1[level 1]" stays in
+        # a body and fails its check; anything else declines, having written
+        # nothing, and goes line by line
+        first, *sections = ("\n" + "".join(lines)).split("\n[level ")
+        bodies = [first]
+        for i, section in enumerate(sections, len(levels)):
+            index, bracket, body = section.partition("]")
+            if not bracket or index != str(i) or body[:1] not in ("\n", ""):
+                return False
+            bodies.append(body)
+        if "".join(bodies).encode().translate(None, b"01\n") or (first.strip() and not levels):
+            return False
+        if levels:
+            levels[-1].update(first.split())
+        levels.extend(set(body.split()) for body in bodies[1:])
+        return True
+
+    read_file(path, parse, block)
     return tuple(normalize(level) for level in levels)

@@ -88,6 +88,13 @@ class TestOneCopy:
             assert type(t) is TableMartingale and t.depth == 3
             assert t.nums is m.nums and t.dens is m.dens
 
+    def test_loaded_table_tabulates_to_itself(self, tmp_path):
+        # a plain table is not built, nor checked, a second time
+        path = tmp_path / "t.txt"
+        path.write_text("- 1\n0 1/2\n1 3/2\n")
+        m = load_table(path)
+        assert m.tabulate(1) is m
+
 
 class TestEvaluate:
     def test_constant(self):

@@ -1,13 +1,15 @@
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recmeasure.codec import interval
+from recmeasure import nulltests
+from recmeasure.codec import _BLOCK_CHARS, excerpt, interval, read_bits, read_file
 from recmeasure.nulltests import (
     ClopenSet,
     divergence_partial,
@@ -78,6 +80,10 @@ def word_lists(draw) -> list[str]:
     return draw(st.permutations(words))
 
 
+def random_words(rng: random.Random, count: int, lo: int = 6, hi: int = 22) -> list[str]:
+    return ["".join(rng.choices("01", k=rng.randint(lo, hi))) for _ in range(count)]
+
+
 class TestSortedScan:
     """normalize, the antichain check and measure against all-pairs references."""
 
@@ -85,15 +91,18 @@ class TestSortedScan:
     def test_normalize_keeps_the_minimal_words(self, words):
         assert normalize(words).generators == quadratic_minimal(words)
 
-    @given(word_lists())
-    def test_clopen_set_rejects_exactly_the_non_antichains(self, words):
-        pool = frozenset(words)
-        nested = any(a != b and b.startswith(a) for a in pool for b in pool)
-        if nested:
-            with pytest.raises(ValueError, match="generators must form an antichain"):
-                ClopenSet(pool)
-        else:
-            assert ClopenSet(pool).generators == pool
+    @given(word_lists(), st.text(alphabet="01", max_size=12))
+    def test_clopen_set_rejects_exactly_the_non_antichains(self, words, extra):
+        # the minimal words are an antichain, and one word more may nest with
+        # any of them, so each draw checks both outcomes of the pairwise test
+        minimal = quadratic_minimal(words)
+        for pool in frozenset(words), minimal, minimal | {extra}:
+            nested = any(a != b and b.startswith(a) for a in pool for b in pool)
+            if nested:
+                with pytest.raises(ValueError, match="generators must form an antichain"):
+                    ClopenSet(pool)
+            else:
+                assert ClopenSet(pool).generators == pool
 
     @given(word_lists())
     def test_measure_is_the_dyadic_sum(self, words):
@@ -107,6 +116,20 @@ class TestSortedScan:
             ClopenSet(frozenset(["0", "2"]))
         with pytest.raises(ValueError, match="not a binary string: '0a'"):
             normalize(["0a", "0"])
+
+    @pytest.mark.parametrize("bad", ["0102", "1" * 50 + "x", "01\xe9", "0\udc80", " 01"])
+    def test_batch_check_names_the_bad_word(self, bad):
+        # one pass checks each batch of words; a failure names the word as
+        # check_bits does, and normalize names the first bad word it is given
+        words = random_words(random.Random(4), 3000)
+        words.insert(1777, bad)
+        message = f"not a binary string: {excerpt(bad)}"
+        with pytest.raises(ValueError) as constructed:
+            ClopenSet(frozenset(words))
+        words.insert(2900, "2")
+        with pytest.raises(ValueError) as normalized:
+            normalize(words)
+        assert str(normalized.value) == str(constructed.value) == message
 
     def test_normalize_takes_any_iterable(self):
         expected = frozenset(["0", "1"])
@@ -360,3 +383,172 @@ class TestFileIO:
         path.write_text("0\n")
         with pytest.raises(ValueError):
             load_kurtz(path)
+
+
+def kurtz_lines(levels: list[list[str]], header: str = "[level {}]", pad: str = "") -> list[str]:
+    """The lines of a Kurtz file: each level's header, then its words."""
+    lines = []
+    for i, level in enumerate(levels):
+        lines.append(pad + header.format(i) + pad)
+        lines += [pad + w + pad for w in level]
+    return lines
+
+
+def file_text(lines: list[str], end: str = "\n", last: str = "\n") -> str:
+    return end.join(lines) + last
+
+
+def at_chars(lines: list[str], chars: float) -> int:
+    """The index of the first line that starts at or past ``chars``."""
+    offset = 0
+    for i, line in enumerate(lines):
+        if offset >= chars:
+            return i
+        offset += len(line) + 1
+    raise ValueError("the file is shorter than that")
+
+
+def outcome(load, path, blocks: bool = True) -> object:
+    """The generators of every level ``load`` reads from ``path``, or its error
+    message with the path left out; with ``blocks`` false, every line goes
+    through the line parser."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not blocks:
+            mp.setattr(nulltests, "read_file", lambda path, parse, block=None: read_file(path, parse))
+        try:
+            result = load(path)
+        except ValueError as exc:
+            return str(exc).replace(str(path), "<path>")
+    return [c.generators for c in (result if isinstance(result, tuple) else [result])]
+
+
+def write_layouts(folder, lines: list[str], variants: dict[str, list[str]]) -> dict[str, object]:
+    """Each layout's file, named by layout: ``lines`` canonical, with no final
+    newline and with CRLF endings, and every line list of ``variants``."""
+    texts = {
+        "canonical": file_text(lines),
+        "no-final-newline": file_text(lines, last=""),
+        "crlf": file_text(lines, end="\r\n", last="\r\n"),
+        **{name: file_text(variant) for name, variant in variants.items()},
+    }
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = folder / name
+        paths[name].write_bytes(text.encode())
+    return paths
+
+
+def kurtz_levels(rng: random.Random) -> list[list[str]]:
+    # about 44 KB: five blocks, each level a little over half a block
+    return [random_words(rng, 300, 12, 18) for _ in range(9)]
+
+
+class TestBlockRead:
+    """``load_clopen`` and ``load_kurtz`` take a block of bits (and canonical
+    ``[level i]`` headers) at once; every other block goes line by line."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_every_clopen_layout_loads_alike(self, tmp_path_factory, seed):
+        rng = random.Random(seed)
+        words = random_words(rng, 2000)  # about 30 KB: four blocks
+
+        def inserted(line: str) -> list[str]:
+            out = [*words]
+            out.insert(rng.randrange(len(words) + 1), line)
+            return out
+
+        shuffled = [*words]
+        rng.shuffle(shuffled)
+        paths = write_layouts(tmp_path_factory.mktemp("clopen"), words, {
+            "comment": inserted("# a comment"),
+            "blank": inserted(""),
+            "padded": [f"  {w}\t" for w in words],
+            "shuffled": shuffled,
+            "root": inserted("-"),
+        })
+        for name, path in paths.items():
+            expected = [frozenset([""]) if name == "root" else normalize(words).generators]
+            assert outcome(load_clopen, path) == outcome(load_clopen, path, False) == expected, name
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_every_kurtz_layout_loads_alike(self, tmp_path_factory, seed):
+        rng = random.Random(seed)
+        levels = kurtz_levels(rng)
+        lines = kurtz_lines(levels)
+        commented, blank, rooted = [*lines], [*lines], [[*level] for level in levels]
+        commented.insert(rng.randrange(1, len(lines) + 1), "# a comment")
+        blank.insert(rng.randrange(len(lines) + 1), "")
+        rooted[4].insert(rng.randrange(len(rooted[4]) + 1), "-")
+        shuffled = [rng.sample(level, len(level)) for level in levels]
+        paths = write_layouts(tmp_path_factory.mktemp("kurtz"), lines, {
+            "comment": commented,
+            "blank": blank,
+            "padded": kurtz_lines(levels, pad=" "),
+            "shuffled": kurtz_lines(shuffled),
+            "root": kurtz_lines(rooted),
+            "zero-padded-index": kurtz_lines(levels, "[level {:02d}]"),
+            "spaced-header": kurtz_lines(levels, "[ level {} ]"),
+        })
+        for name, path in paths.items():
+            expected = [normalize(level).generators for level in levels]
+            if name == "root":
+                expected[4] = frozenset([""])
+            assert outcome(load_kurtz, path) == outcome(load_kurtz, path, False) == expected, name
+
+    @pytest.mark.parametrize("pad", ["", " "], ids=["canonical", "padded"])
+    @pytest.mark.parametrize("load", [load_clopen, load_kurtz])
+    def test_canonical_layout_skips_the_line_parser(self, tmp_path, monkeypatch, load, pad):
+        calls = []
+        monkeypatch.setattr(nulltests, "read_bits", lambda token: calls.append(token) or
+                            read_bits(token))
+        levels = kurtz_levels(random.Random(12))
+        lines = kurtz_lines(levels, pad=pad) if load is load_kurtz else [pad + w for w in levels[0]]
+        path = tmp_path / "f.txt"
+        path.write_text(file_text(lines))
+        load(path)
+        # a padded file goes line by line, and each word through read_bits
+        words = sum(map(len, levels)) if load is load_kurtz else len(levels[0])
+        assert len(calls) == (0 if pad == "" else words)
+
+    @pytest.mark.parametrize("fault", [
+        "mid-line-header", "mid-line-header-in-block-2", "skipped-level-in-block-3",
+        "bad-word-in-block-4", "non-ascii", "unclosed-last-header", "clopen-bad-word-in-block-4",
+        "clopen-non-ascii",
+    ])
+    def test_faults_named_as_line_by_line(self, tmp_path, fault):
+        lines = kurtz_lines(kurtz_levels(random.Random(11)))
+        load = load_clopen if fault.startswith("clopen") else load_kurtz
+        if load is load_clopen:
+            lines = [line for line in lines if not line.startswith("[")]
+        last = "\n"
+        if fault == "mid-line-header":
+            lines = ["[level 0]", "0", "1[level 1]", "00"]
+            message = "<path>:3: not a binary string: '1[level 1]'"
+        elif fault == "mid-line-header-in-block-2":
+            i = next(i for i in range(at_chars(lines, 1.2 * _BLOCK_CHARS), len(lines))
+                     if lines[i].startswith("["))
+            lines[i - 1] += lines.pop(i)
+            message = f"<path>:{i}: not a binary string: {excerpt(lines[i - 1])}"
+        elif fault == "skipped-level-in-block-3":
+            i = lines.index("[level 4]")
+            assert 2.1 * _BLOCK_CHARS < sum(len(line) + 1 for line in lines[:i]) < 2.9 * _BLOCK_CHARS
+            lines[i] = "[level 5]"
+            message = f"<path>:{i + 1}: expected level 4, got 5"
+        elif fault.endswith("bad-word-in-block-4"):
+            i = at_chars(lines, 3.5 * _BLOCK_CHARS)
+            lines[i] = "01x0"
+            message = f"<path>:{i + 1}: not a binary string: '01x0'"
+        elif fault == "unclosed-last-header":
+            # the next index, but no "]" and no final newline
+            lines.append("[level 9")
+            last = ""
+            message = f"<path>:{len(lines)}: not a binary string: '[level 9'"
+        else:
+            i = at_chars(lines, 2.5 * _BLOCK_CHARS)
+            lines[i] += "\xe9"
+            message = f"<path>:{i + 1}: non-ASCII byte 0xe9"
+        path = tmp_path / "f.txt"
+        path.write_bytes(file_text(lines, last=last).encode("latin-1"))
+        assert outcome(load, path) == outcome(load, path, False) == message
