@@ -19,8 +19,11 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 
-# sorted(oracle.BUILTIN_KERNELS): the parser must not import oracle
-KERNELS = ["coincidence", "constant", "prefix-coincidence", "savings-coincidence"]
+# sorted(oracle.BUILTIN_KERNELS) and oracle.GUARD: the parser and a refused
+# average must not import oracle
+KERNELS = ["biased-coincidence", "coincidence", "constant", "prefix-coincidence",
+           "savings-coincidence"]
+GUARD = 20
 
 
 def fmt(value) -> str:
@@ -183,6 +186,8 @@ def cmd_adversary(args) -> tuple[Iterable[Result], list[str]]:
 
 
 def cmd_average(args) -> tuple[Iterable[Result], list[str]]:
+    if args.depth > GUARD:
+        raise ValueError(f"depth {args.depth} exceeds the enumeration guard {GUARD}")
     from . import martingale, oracle
     f = _functional(args)
     n = oracle.averaged_martingale(f, args.depth)

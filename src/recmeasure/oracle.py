@@ -6,14 +6,15 @@ each state reached at sigma once, however many oracle prefixes reach it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd, lcm
-from typing import TYPE_CHECKING, Callable, Optional
-
+# Before dataclasses: a module compiled from source after inspect stacks the compiler on it
 from .codec import check_bits, excerpt, num_of
 from .martingale import Martingale, State, TableMartingale, all_strings, negative, unfair
 from .martingale import savings_start, savings_step, tree
 from .strategies import coincidence_step
+
+from dataclasses import dataclass
+from math import gcd, lcm
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:
     from .nulltests import ClopenSet
@@ -99,6 +100,15 @@ def prefix_coincidence_functional(prefix_length: int) -> TTFunctional:
     return TTFunctional(name, use, (1, 1), coincidence_step)
 
 
+def biased_coincidence_functional() -> TTFunctional:
+    """Reads two fresh oracle bits a step and bets half the capital on 1 exactly
+    when both are 1, so the average is N(sigma) = (5/4)^#0(sigma) * (3/4)^#1(sigma)."""
+    return TTFunctional(
+        "biased-coincidence", lambda n: 2 * n, (1, 1),
+        lambda sigma, state, fresh: coincidence_step(sigma, state, "1" if fresh == "11" else "0"),
+    )
+
+
 def savings_functional(base: TTFunctional) -> TTFunctional:
     """Savings transform applied to every oracle's martingale."""
     return TTFunctional(
@@ -108,6 +118,7 @@ def savings_functional(base: TTFunctional) -> TTFunctional:
 
 
 BUILTIN_KERNELS = {
+    "biased-coincidence": biased_coincidence_functional,
     "constant": constant_functional,
     "coincidence": oracle_coincidence_functional,
     "prefix-coincidence": prefix_coincidence_functional,

@@ -512,6 +512,22 @@ class TestOtherCommands:
         assert code == 0 and "path: 000000000000\n" in out
         assert 0 < len(calls) < 1000
 
+    def test_biased_coincidence_average(self, capsys):
+        code, out = run_cli(capsys, "average", "--kernel", "biased-coincidence", "--depth", "2")
+        assert code == 0 and out == (
+            "kernel: biased-coincidence\nN(-): 1/1\nN(0): 5/4\nN(1): 3/4\n"
+            "N(00): 25/16\nN(01): 15/16\nN(10): 15/16\nN(11): 9/16\n"
+        )
+
+    def test_biased_coincidence_exceed_default_path(self, capsys):
+        # N(sigma1) = 3/4 N(sigma) < N(sigma0), so the adversary of the average is 1^d
+        code, out = run_cli(capsys, "exceed", "--kernel", "biased-coincidence",
+                            "--depth", "3", "--n", "0")
+        assert code == 0 and out == (
+            "kernel: biased-coincidence\npath: 111\nlevel: 0\nmeasure: 1/16\nbound: 2/1\n"
+            "member_0: 111100\nmember_1: 111101\nmember_2: 111110\nmember_3: 111111\n"
+        )
+
     def test_exceed_default_path_past_the_guard_depth(self, capsys):
         # one path of depth 21 is stepped, not a tree, so only the use is capped
         code, out = run_cli(capsys, "exceed", "--kernel", "constant", "--depth", "21", "--n", "1")
@@ -781,24 +797,30 @@ def test_library_imports_only_the_stdlib():
                 assert top in sys.stdlib_module_names or top == "recmeasure", (source.name, name)
 
 
-# Runs cli.main on argv in a fresh interpreter, then lists the json and
-# recmeasure modules it loaded on stderr.
+# Runs cli.main on argv in a fresh interpreter, then lists the watched and
+# recmeasure modules it loaded on the last line of stderr, in load order
+# (sys.modules keeps insertion order).
 FOOTPRINT = """
 import sys
 from recmeasure import cli
 code = cli.main(sys.argv[1:])
 watched = {"json", "dataclasses", "inspect", "fractions", "decimal"}
-print(*sorted(m for m in sys.modules if m in watched or m.startswith("recmeasure")),
+print(*(m for m in sys.modules if m in watched or m.startswith("recmeasure")),
       file=sys.stderr)
 sys.exit(code)
 """
 
 
-def loaded_modules(argv):
+def module_order(argv, status=0):
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
                           capture_output=True, env=subprocess_env("0"))
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.decode().split()), proc.stdout
+    assert proc.returncode == status, proc.stderr
+    return proc.stderr.decode().splitlines()[-1].split(), proc.stdout
+
+
+def loaded_modules(argv, status=0):
+    modules, out = module_order(argv, status)
+    return set(modules), out
 
 
 class TestImports:
@@ -861,6 +883,33 @@ class TestImports:
         modules, _ = loaded_modules(["average", "--kernel", "coincidence", "--depth", "2"])
         assert "dataclasses" in modules
 
+    def test_refused_average_loads_no_oracle(self):
+        # the depth is checked against cli.GUARD before oracle or martingale loads
+        modules, out = loaded_modules(["average", "--kernel", "coincidence", "--depth", "21"],
+                                      status=2)
+        assert out == b""
+        assert not modules & {"recmeasure.oracle", "recmeasure.martingale",
+                              "dataclasses", "fractions"}
+
+    @pytest.mark.parametrize("argv", [
+        None,
+        ["exceed", "--kernel", "savings-coincidence", "--depth", "4", "--n", "1"],
+        ["average", "--kernel", "coincidence", "--depth", "2"],
+    ], ids=["import", "exceed", "average"])
+    def test_oracle_compiles_its_modules_before_dataclasses(self, argv):
+        # where a process compiles the package from source, a module compiled
+        # after dataclasses (with inspect) sets the process's peak RSS
+        if argv is None:
+            code = "import sys, recmeasure.oracle; print(*sys.modules)"
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  env=subprocess_env("0"))
+            assert proc.returncode == 0, proc.stderr
+            modules = proc.stdout.decode().split()
+        else:
+            modules = module_order(argv)[0]
+        first = modules.index("dataclasses")
+        assert {"recmeasure.martingale", "recmeasure.strategies"} <= set(modules[:first])
+
     def test_json_loads_json(self):
         modules, out = loaded_modules(["--json", "codec", "--num", "-"])
         assert "json" in modules
@@ -883,6 +932,11 @@ class TestImports:
         from recmeasure import oracle
 
         assert cli.KERNELS == sorted(oracle.BUILTIN_KERNELS)
+
+    def test_guard_matches_oracle(self):
+        from recmeasure import oracle
+
+        assert cli.GUARD == oracle.GUARD
 
 
 class TestBenchTracer:

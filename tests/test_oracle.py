@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from recmeasure.codec import str_of
 from recmeasure.martingale import all_strings, capital_trace, validate
 from recmeasure.nulltests import normalize
 from recmeasure.oracle import (
@@ -14,6 +15,7 @@ from recmeasure.oracle import (
     TTFunctional,
     UseNotMonotone,
     averaged_martingale,
+    biased_coincidence_functional,
     constant_functional,
     exceed_set,
     functional_validate,
@@ -58,7 +60,8 @@ class TestAveraged:
     def test_all_builtin_kernels_match_brute_force(self):
         for name, make in BUILTIN_KERNELS.items():
             f = make() if name != "prefix-coincidence" else make(2)
-            depth = 5
+            # biased-coincidence reads two oracle bits a level: 4^depth oracles
+            depth = 4 if name == "biased-coincidence" else 5
             n = averaged_martingale(f, depth)
             assert validate(n, depth) == [], name
             for sigma in strings_up_to(depth):
@@ -244,6 +247,51 @@ class TestExceedSet:
                 assert exceeded
 
 
+class TestBiasedCoincidence:
+    """The built-in kernel that bets on 1 only where both fresh bits are 1,
+    so its average and exceed sets depend on the path."""
+
+    def test_average_closed_form(self):
+        # N(sigma) = (5/4)^#0(sigma) * (3/4)^#1(sigma) at every rank to depth 10
+        depth = 10
+        n = averaged_martingale(biased_coincidence_functional(), depth)
+        assert validate(n, depth) == []
+        for r, (num, den) in enumerate(zip(n.nums, n.dens)):
+            sigma = str_of(r)
+            expected = Fraction(5, 4) ** sigma.count("0") * Fraction(3, 4) ** sigma.count("1")
+            assert Fraction(num, den) == expected, sigma
+        assert len(n.nums) == (2 << depth) - 1
+
+    def test_functional_validate_clean(self):
+        f = biased_coincidence_functional()
+        assert functional_validate(f, 6) == []
+        assert functional_validate(savings_functional(f), 6) == []
+
+    def test_savings_exceed_measure_depends_on_the_path(self):
+        f = savings_functional(biased_coincidence_functional())
+        measures = {p: exceed_set(f, p, 1).measure() for p in ("0000", "1111", "0101", "1100")}
+        assert measures == {
+            "0000": Fraction(81, 256), "1111": Fraction(1, 256),
+            "0101": Fraction(9, 256), "1100": Fraction(9, 256),
+        }
+
+    @pytest.mark.parametrize("savings", [False, True])
+    def test_exceed_matches_enumeration_on_every_path(self, savings):
+        f = biased_coincidence_functional()
+        f = savings_functional(f) if savings else f
+        oracles, measures = list(all_strings(f.use_bound(4))), set()
+        for path, level in itertools.product(all_strings(4), [0, 1]):
+            hits = [
+                tau for tau in oracles
+                if max(capital_trace(f.factory(tau, 4), path)) > 2**level + 1
+            ]
+            ex = exceed_set(f, path, level)
+            assert ex.sorted_generators() == normalize(hits).sorted_generators(), (path, level)
+            measures.add((level, ex.measure()))
+        # more than one measure over the paths of length 4, at each level
+        assert all(len({m for lv, m in measures if lv == level}) > 1 for level in (0, 1))
+
+
 class TestRootUse:
     """A kernel that reads oracle bits before its first bet, use(0) > 0, is
     averaged, exceeded and validated over oracle prefixes of length use(0) at
@@ -325,6 +373,18 @@ class TestXorSymmetry:
                 flipped = xor(tau, sigma[:u])
                 assert (capital_trace(f.factory(tau, len(sigma)), sigma)[-1]
                         == capital_trace(f.factory(flipped, len(sigma)), zeros)[-1]), (sigma, tau)
+
+    def test_biased_coincidence_is_not_symmetric(self):
+        # no bijection of the oracles at "1" onto those at "0" keeps the capital:
+        # the two multisets of capitals differ
+        f = biased_coincidence_functional()
+
+        def capitals(sigma):
+            return sorted(capital_trace(f.factory(tau, 1), sigma)[-1] for tau in all_strings(2))
+
+        half, three_halves = Fraction(1, 2), Fraction(3, 2)
+        assert capitals("1") == [half, half, half, three_halves]
+        assert capitals("0") == [half, three_halves, three_halves, three_halves]
 
     @pytest.mark.parametrize("level, measure", [(1, Fraction(1, 8)), (2, Fraction(1, 64))])
     def test_exceed_measure_is_one_value_over_all_paths(self, level, measure):
