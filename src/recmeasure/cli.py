@@ -213,7 +213,7 @@ def cmd_exceed(args) -> tuple[Iterable[Result], list[str]]:
         if len(path) != args.depth:
             raise ValueError(f"--path has length {len(path)}, not --depth {args.depth}")
     else:
-        path = strategies.adversary_sequence(oracle.AveragedMartingale(f, args.depth), args.depth)
+        path = strategies.adversary_sequence(oracle.averaged(f, args.depth), args.depth)
     exceed = oracle.exceed_set(f, path, args.n)
     mu, bound = exceed.measure(), Fraction(2, 2**args.n)
     results = chain([

@@ -11,7 +11,6 @@ import re
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd
-from numbers import Rational
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .codec import MAX_DIGITS, check_bits, excerpt, read_bits, read_file, read_rational, str_of
@@ -87,13 +86,6 @@ class Martingale:
             raise ValueError(f"requested depth {depth} exceeds martingale depth {self.depth}")
 
 
-def _rational(what: str, x) -> Rational:
-    """``x`` itself if it is an exact rational (int or Fraction, not float)."""
-    if not isinstance(x, Rational):
-        raise ValueError(f"{what} {x!r} is not an exact rational")
-    return x
-
-
 class TableMartingale(Martingale):
     """Martingale given by an explicit table on all strings up to depth: the
     value at the string of rank r (see :func:`codec.num_of`) is ``nums[r] /
@@ -138,39 +130,16 @@ class TableMartingale(Martingale):
 
 
 class StrategyMartingale(Martingale):
-    """Martingale induced by a betting rule.
+    """The martingale of a step function: ``start`` is the state at the empty
+    string and ``step(sigma, state)`` gives the states at sigma+"0" and
+    sigma+"1", each a tuple whose first two entries are the exact capital as
+    numerator and positive denominator."""
 
-    ``rule(sigma)`` returns a stake fraction in [0,1] and a predicted next
-    bit; capital multiplies by (1+stake) when the prediction is correct and
-    by (1-stake) otherwise, which preserves the fairness equation.
-    """
-
-    def __init__(
-        self,
-        depth: int,
-        initial: Fraction,
-        rule: Callable[[str], tuple[Fraction, int]],
-    ):
+    def __init__(self, depth: int, start: State, step: Callable[[str, State], tuple]):
         if depth < 0:
             raise ValueError("depth must be a natural number")
-        if _rational("initial capital", initial) < 0:
-            raise ValueError("initial capital must be nonnegative")
-        self.depth = depth
-        self.initial = Fraction(initial)
-        self.rule = rule
-        self.start = self.initial.numerator, self.initial.denominator
-
-    def _step(self, sigma: str, state: State) -> tuple[State, State]:
-        stake, predicted = self.rule(sigma)
-        _rational("stake", stake)
-        p, q = stake.numerator, stake.denominator
-        if not 0 <= p <= q:
-            raise ValueError(f"stake fraction {stake} outside [0,1]")
-        if predicted not in (0, 1):
-            raise ValueError(f"predicted bit {predicted!r} not a bit")
-        num, den = state
-        win, lose = (num * (q + p), den * q), (num * (q - p), den * q)
-        return (win, lose) if predicted == 0 else (lose, win)
+        # an instance attribute, so each step is one plain call
+        self.depth, self.start, self._step = depth, start, step
 
 
 def _bank(saved: int, active: int, den: int) -> tuple[int, int]:

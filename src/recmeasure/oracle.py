@@ -8,8 +8,8 @@ from __future__ import annotations
 
 # Before dataclasses: a module compiled from source after inspect stacks the compiler on it
 from .codec import check_bits, excerpt, num_of
-from .martingale import Martingale, State, TableMartingale, all_strings, negative, unfair
-from .martingale import savings_start, savings_step, tree
+from .martingale import Martingale, State, StrategyMartingale, TableMartingale, all_strings
+from .martingale import negative, savings_start, savings_step, tree, unfair
 from .strategies import coincidence_step
 
 from dataclasses import dataclass
@@ -31,18 +31,18 @@ class UseNotMonotone(ValueError):
     """Raised when use_bound(n+1) < use_bound(n), so no bits are fresh at n."""
 
 
-class OracleMartingale(Martingale):
+def oracle_martingale(f: TTFunctional, tau: str, depth: int) -> StrategyMartingale:
     """M^tau: the functional's step fed with the fresh bits of the oracle word tau,
     which holds the use(depth) bits read up to depth."""
+    if len(check_bits(tau)) < (use := f.use_bound(depth)):
+        raise ValueError(f"oracle word {excerpt(tau)} is shorter than use({depth}) = {use}")
+    use_bound, step = f.use_bound, f.step
 
-    def __init__(self, f: TTFunctional, tau: str, depth: int):
-        if len(check_bits(tau)) < (use := f.use_bound(depth)):
-            raise ValueError(f"oracle word {excerpt(tau)} is shorter than use({depth}) = {use}")
-        self.f, self.tau, self.depth, self.start = f, tau, depth, f.start
+    def fed(sigma: str, state: State) -> tuple[State, State]:
+        n = len(sigma)
+        return step(sigma, state, tau[use_bound(n) : use_bound(n + 1)])
 
-    def _step(self, sigma: str, state: State) -> tuple[State, State]:
-        use, n = self.f.use_bound, len(sigma)
-        return self.f.step(sigma, state, self.tau[use(n) : use(n + 1)])
+    return StrategyMartingale(depth, f.start, fed)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class TTFunctional:
 
     def __post_init__(self) -> None:
         if self.factory is None:
-            object.__setattr__(self, "factory", lambda tau, d: OracleMartingale(self, tau, d))
+            object.__setattr__(self, "factory", lambda tau, d: oracle_martingale(self, tau, d))
 
     def levels(self, depth: int) -> list[list[str]]:
         """freshes[n], the fresh oracle words read at level n <= depth: all_strings of
@@ -126,38 +126,40 @@ BUILTIN_KERNELS = {
 }
 
 
-class AveragedMartingale(Martingale):
+def _mean(groups: dict) -> State:
+    """(num, den, groups): the mean capital of the states in ``groups``, each
+    weighted by its count, in lowest terms."""
+    den = lcm(*(s[1] for s in groups))
+    num = sum(count * s[0] * (den // s[1]) for s, count in groups.items())
+    den *= sum(groups.values())  # the 2^use(|sigma|) oracle prefixes
+    g = gcd(num, den)
+    return num // g, den // g, groups
+
+
+def averaged(f: TTFunctional, depth: int) -> StrategyMartingale:
     """N(sigma), the exact average of M^tau(sigma) over the oracle prefixes of
     length use(|sigma|), which M^tau reads.  Its state is (num, den, groups), where
     groups maps each state the prefixes reach at sigma to how many reach it."""
+    freshes, step = f.levels(depth), f.step
 
-    def __init__(self, f: TTFunctional, depth: int):
-        self.f, self.depth, self.freshes = f, depth, f.levels(depth)
-        self.start = self._mean({f.start: len(self.freshes[0])})
-
-    def _mean(self, groups: dict) -> State:
-        den = lcm(*(s[1] for s in groups))
-        num = sum(count * s[0] * (den // s[1]) for s, count in groups.items())
-        den *= sum(groups.values())  # the 2^use(|sigma|) oracle prefixes
-        g = gcd(num, den)
-        return num // g, den // g, groups
-
-    def _step(self, sigma: str, state: State) -> tuple[State, State]:
-        zero, one, step = {}, {}, self.f.step
+    def grow(sigma: str, state: State) -> tuple[State, State]:
+        zero, one = {}, {}
         for s, count in state[2].items():
-            for fresh in self.freshes[len(sigma) + 1]:
+            for fresh in freshes[len(sigma) + 1]:
                 s0, s1 = step(sigma, s, fresh)
                 zero[s0] = zero.get(s0, 0) + count
                 one[s1] = one.get(s1, 0) + count
-        return self._mean(zero), self._mean(one)
+        return _mean(zero), _mean(one)
+
+    return StrategyMartingale(depth, _mean({f.start: len(freshes[0])}), grow)
 
 
 def averaged_martingale(f: TTFunctional, depth: int) -> TableMartingale:
-    """:class:`AveragedMartingale` tabulated; a depth above GUARD raises
+    """:func:`averaged` tabulated; a depth above GUARD raises
     GuardExceeded before any level, step or table is made."""
     if depth > GUARD:
         raise GuardExceeded(f"depth {depth} exceeds the enumeration guard {GUARD}")
-    return AveragedMartingale(f, depth).tabulate(depth)
+    return averaged(f, depth).tabulate(depth)
 
 
 def exceed_set(f: TTFunctional, path: str, n: int) -> ClopenSet:

@@ -6,8 +6,6 @@ greedy adversary sequences.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .codec import check_bits
 from .martingale import Martingale, State, StrategyMartingale
 
@@ -18,11 +16,8 @@ def coincidence_martingale(ref: str) -> StrategyMartingale:
     Capital multiplies by 3/2 on agreement and by 1/2 on disagreement.
     """
     check_bits(ref)
-
-    def rule(sigma: str) -> tuple[Fraction, int]:
-        return Fraction(1, 2), int(ref[len(sigma)])
-
-    return StrategyMartingale(len(ref), Fraction(1), rule)
+    return StrategyMartingale(
+        len(ref), (1, 1), lambda sigma, state: coincidence_step(sigma, state, ref[len(sigma)]))
 
 
 def coincidence_step(sigma: str, state: State, fresh: str) -> tuple[State, State]:
@@ -46,12 +41,14 @@ def pair_doubling_martingale(depth: int) -> StrategyMartingale:
     never bets at even positions.
     """
 
-    def rule(sigma: str) -> tuple[Fraction, int]:
+    def step(sigma: str, state: State) -> tuple[State, State]:
         if len(sigma) % 2 == 0:
-            return Fraction(0), 0
-        return Fraction(1), int(sigma[-1])
+            return state, state
+        num, den = state
+        win, lose = (2 * num, den), (0, den)
+        return (lose, win) if sigma[-1] == "1" else (win, lose)
 
-    return StrategyMartingale(depth, Fraction(1), rule)
+    return StrategyMartingale(depth, (1, 1), step)
 
 
 def adversary_sequence(m: Martingale, length: int) -> str:

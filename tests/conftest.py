@@ -2,18 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from numbers import Rational
+from typing import Callable, Sequence
 
 import pytest
 
 from recmeasure.codec import logpart_size, s_index
-from recmeasure.martingale import (
-    Martingale,
-    StrategyMartingale,
-    all_strings,
-    savings_start,
-    savings_step,
-)
+from recmeasure.martingale import Martingale, all_strings, savings_start, savings_step
 from recmeasure.param import Parametrization, io_match_report
 
 
@@ -23,7 +18,48 @@ def strings_up_to(depth: int):
         yield from all_strings(length)
 
 
-def random_strategy_martingale(rng: random.Random, depth: int) -> StrategyMartingale:
+def _rational(what: str, x) -> Rational:
+    """``x`` itself if it is an exact rational (int or Fraction, not float)."""
+    if not isinstance(x, Rational):
+        raise ValueError(f"{what} {x!r} is not an exact rational")
+    return x
+
+
+class RuleMartingale(Martingale):
+    """Martingale induced by a betting rule: the reference that the integer
+    strategy steps of ``recmeasure`` are checked against.
+
+    ``rule(sigma)`` returns a stake fraction in [0,1] and a predicted next
+    bit; capital multiplies by (1+stake) when the prediction is correct and
+    by (1-stake) otherwise, which preserves the fairness equation.
+    """
+
+    def __init__(
+        self, depth: int, initial: Fraction, rule: Callable[[str], tuple[Fraction, int]]
+    ):
+        if depth < 0:
+            raise ValueError("depth must be a natural number")
+        if _rational("initial capital", initial) < 0:
+            raise ValueError("initial capital must be nonnegative")
+        self.depth = depth
+        self.initial = Fraction(initial)
+        self.rule = rule
+        self.start = self.initial.numerator, self.initial.denominator
+
+    def _step(self, sigma: str, state):
+        stake, predicted = self.rule(sigma)
+        _rational("stake", stake)
+        p, q = stake.numerator, stake.denominator
+        if not 0 <= p <= q:
+            raise ValueError(f"stake fraction {stake} outside [0,1]")
+        if predicted not in (0, 1):
+            raise ValueError(f"predicted bit {predicted!r} not a bit")
+        num, den = state
+        win, lose = (num * (q + p), den * q), (num * (q - p), den * q)
+        return (win, lose) if predicted == 0 else (lose, win)
+
+
+def random_strategy_martingale(rng: random.Random, depth: int) -> RuleMartingale:
     """A valid martingale with a random stake and prediction at every node."""
     choices: dict[str, tuple[Fraction, int]] = {}
 
@@ -32,7 +68,14 @@ def random_strategy_martingale(rng: random.Random, depth: int) -> StrategyMartin
             choices[sigma] = (Fraction(rng.randint(0, 8), 8), rng.randint(0, 1))
         return choices[sigma]
 
-    return StrategyMartingale(depth, Fraction(1), rule)
+    return RuleMartingale(depth, Fraction(1), rule)
+
+
+def rule_coincidence(ref: str) -> RuleMartingale:
+    """Half-stake coincidence betting against ``ref`` as a rule, the reference
+    for ``strategies.coincidence_martingale``."""
+    return RuleMartingale(
+        len(ref), Fraction(1), lambda sigma: (Fraction(1, 2), int(ref[len(sigma)])))
 
 
 class SavingsMartingale(Martingale):

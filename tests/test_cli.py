@@ -975,6 +975,26 @@ class TestBenchTracer:
         assert tracer.counts["martingale.load_table.lines"] == len(table.read_text().splitlines())
         assert nulltests.ClopenSet.__post_init__ is check
 
+    def test_traced_strategies_match_untraced(self, capsys, monkeypatch):
+        # the tracer rebuilds StrategyMartingale(depth, start, step) positionally
+        # and counts each step call
+        runs = [["trace", "--strategy", "coincidence", "--ref", "0110", "--path", "0110"],
+                ["adversary", "--strategy", "pair-doubling", "--depth", "6"]]
+        untraced = [run_cli(capsys, *argv) for argv in runs]
+        monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+        import tracing
+
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            traced = [(cli.main(argv), capsys.readouterr().out) for argv in runs]
+        finally:
+            tracer.uninstall()
+        assert traced == untraced
+        # 4 steps along the traced path; adversary steps its 6-bit path once to
+        # choose it and once more in capital_trace
+        assert tracer.counts["martingale.rule.calls"] == 4 + 2 * 6
+
     def test_exceed_set_normalize_is_traced(self, monkeypatch):
         # exceed_set imports normalize when it runs, so it calls the tracer's wrapper
         from recmeasure import oracle

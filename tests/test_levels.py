@@ -28,8 +28,8 @@ from recmeasure.martingale import (
 from recmeasure.nulltests import normalize
 from recmeasure.oracle import (
     BUILTIN_KERNELS,
-    AveragedMartingale,
     TTFunctional,
+    averaged,
     averaged_martingale,
     exceed_set,
     functional_validate,
@@ -39,9 +39,11 @@ from recmeasure.oracle import (
 from recmeasure.strategies import adversary_sequence, coincidence_martingale, coincidence_step
 
 from conftest import (
+    RuleMartingale,
     SavingsMartingale,
     random_strategy_martingale,
     rank_arrays,
+    rule_coincidence,
     strings_up_to,
     table_file_text,
 )
@@ -109,13 +111,13 @@ def thirds_stake(sigma: str) -> Fraction:
     return Fraction(1, 3) if sigma.count("1") % 2 else Fraction(2, 5)
 
 
-def thirds_strategy(depth: int, ref: str) -> StrategyMartingale:
+def thirds_strategy(depth: int, ref: str) -> RuleMartingale:
     """Stakes of 1/3 and 2/5 side by side in a level, so its scale is an lcm."""
 
     def rule(sigma: str):
         return thirds_stake(sigma), int(ref[len(sigma)])
 
-    return StrategyMartingale(depth, Fraction(1), rule)
+    return RuleMartingale(depth, Fraction(1), rule)
 
 
 def thirds_step(sigma: str, state, fresh: str):
@@ -127,7 +129,7 @@ def thirds_step(sigma: str, state, fresh: str):
     return (lose, win) if fresh == "1" else (win, lose)
 
 
-def prefix_strategy(depth: int, tau: str, k: int) -> StrategyMartingale:
+def prefix_strategy(depth: int, tau: str, k: int) -> RuleMartingale:
     """Half-stake coincidence on the first k bits of tau, then no bet."""
 
     def rule(sigma: str):
@@ -135,7 +137,7 @@ def prefix_strategy(depth: int, tau: str, k: int) -> StrategyMartingale:
             return Fraction(1, 2), int(tau[len(sigma)])
         return Fraction(0), 0
 
-    return StrategyMartingale(depth, Fraction(1), rule)
+    return RuleMartingale(depth, Fraction(1), rule)
 
 
 def reference_validate(value: Callable[[str], Fraction], depth: int) -> list[str]:
@@ -164,7 +166,7 @@ def all_kinds(rng) -> list[Martingale]:
         SavingsMartingale(thirds),
         thirds_strategy(DEPTH, "011010"),
         SavingsMartingale(thirds_strategy(DEPTH, "110100")),
-        SavingsMartingale(coincidence_martingale("010011")),
+        SavingsMartingale(rule_coincidence("010011")),
     ]
 
 
@@ -192,7 +194,7 @@ class TestLevels:
 
     def test_value_equals_reference(self, rng):
         kinds = all_kinds(rng)
-        assert {type(m) for m in kinds} == {StrategyMartingale, RefTable, SavingsMartingale}
+        assert {type(m) for m in kinds} == {RuleMartingale, RefTable, SavingsMartingale}
         for m in kinds:
             for sigma in strings_up_to(DEPTH):
                 assert capital_trace(m, sigma)[-1] == reference_value(m, sigma), type(m).__name__
@@ -208,7 +210,7 @@ class TestLevels:
 
     def test_bad_stakes_rejected(self):
         for stake, bit in ((Fraction(3, 2), 0), (0.5, 0), (Fraction(1, 2), 2)):
-            m = StrategyMartingale(2, Fraction(1), lambda s, r=(stake, bit): r)
+            m = RuleMartingale(2, Fraction(1), lambda s, r=(stake, bit): r)
             with pytest.raises(ValueError):
                 m.tabulate(2)
             with pytest.raises(ValueError):
@@ -347,9 +349,9 @@ class TestOracleEngine:
         kernels = [
             (
                 savings_functional(oracle_coincidence_functional()),
-                lambda tau, depth: SavingsMartingale(coincidence_martingale(tau)),
+                lambda tau, depth: SavingsMartingale(rule_coincidence(tau)),
             ),
-            (oracle_coincidence_functional(), lambda tau, depth: coincidence_martingale(tau)),
+            (oracle_coincidence_functional(), lambda tau, depth: rule_coincidence(tau)),
             (
                 BUILTIN_KERNELS["prefix-coincidence"](3),
                 lambda tau, depth: prefix_strategy(depth, tau, 3),
@@ -520,7 +522,7 @@ class TestAveragedMartingaleMatchesTable:
 
     @staticmethod
     def check(f, depth, path):
-        n, table = AveragedMartingale(f, depth), averaged_martingale(f, depth)
+        n, table = averaged(f, depth), averaged_martingale(f, depth)
         assert n.walk(path) == table.walk(path)
         assert adversary_sequence(n, depth) == adversary_sequence(table, depth)
 
@@ -564,13 +566,13 @@ class TestDeepQueries:
         calls = []
         ref = "0110" * 50
 
-        def rule(sigma: str):
+        def step(sigma: str, state):
             calls.append(sigma)
-            return Fraction(1, 2), int(ref[len(sigma)])
+            return coincidence_step(sigma, state, ref[len(sigma)])
 
-        m = StrategyMartingale(len(ref), Fraction(1), rule)
+        m = StrategyMartingale(len(ref), (1, 1), step)
         path = adversary_sequence(m, len(ref))
-        # one rule call per greedy step: both children come from one step,
+        # one step call per greedy step: both children come from one step,
         # each handed exactly the prefix of the path it stands on
         assert calls == [path[:n] for n in range(len(ref))]
         # the trace of that path, as the adversary command prints it

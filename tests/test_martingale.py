@@ -19,7 +19,13 @@ from recmeasure.martingale import (
 from recmeasure.codec import _BLOCK_CHARS, MAX_DIGITS, excerpt, num_of, read_bits
 from recmeasure.strategies import coincidence_martingale, pair_doubling_martingale
 
-from conftest import SavingsMartingale, random_strategy_martingale, rank_arrays, strings_up_to
+from conftest import (
+    RuleMartingale,
+    SavingsMartingale,
+    random_strategy_martingale,
+    rank_arrays,
+    strings_up_to,
+)
 
 
 def constant_one(depth: int) -> TableMartingale:
@@ -110,8 +116,8 @@ class TestEvaluate:
             return Fraction(1, 2), 0
 
         with pytest.raises(ValueError, match="initial capital 0.1 is not an exact rational"):
-            StrategyMartingale(2, 0.1, rule)
-        assert capital_trace(StrategyMartingale(2, 3, rule), "00")[-1] == Fraction(27, 4)
+            RuleMartingale(2, 0.1, rule)
+        assert capital_trace(RuleMartingale(2, 3, rule), "00")[-1] == Fraction(27, 4)
 
     def test_out_of_depth_query_errors(self):
         with pytest.raises(ValueError):
@@ -198,10 +204,11 @@ class TestSavings:
     def test_doubling_path_banks_units(self):
         # all-in doubling along 000...: each doubling lifts the working part
         # from 1 to the cap 2, so one unit moves to the bank at every step
-        def rule(sigma):
-            return Fraction(1), 0
+        def step(sigma, state):
+            num, den = state
+            return (2 * num, den), (0, den)
 
-        m = StrategyMartingale(6, Fraction(1), rule)
+        m = StrategyMartingale(6, (1, 1), step)
         s = SavingsMartingale(m)
         assert capital_trace(m, "0" * 6) == [2**i for i in range(7)]
         assert capital_trace(s, "0" * 6) == list(range(1, 8))

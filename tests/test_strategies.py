@@ -12,7 +12,7 @@ from recmeasure.strategies import (
     pair_doubling_martingale,
 )
 
-from conftest import random_strategy_martingale
+from conftest import RuleMartingale, random_strategy_martingale, rule_coincidence
 
 
 class TestCoincidence:
@@ -81,6 +81,36 @@ class TestPairDoubling:
             for path in all_strings(2 * k):
                 doubled = all(path[2 * x] == path[2 * x + 1] for x in range(k))
                 assert capital_trace(m, path)[-1] == (2**k if doubled else 0)
+
+
+def rule_pair_doubling(depth: int) -> RuleMartingale:
+    """Pair doubling as a rule: no stake at even |sigma|, else all of it on sigma[-1]."""
+
+    def rule(sigma: str):
+        if len(sigma) % 2 == 0:
+            return Fraction(0), 0
+        return Fraction(1), int(sigma[-1])
+
+    return RuleMartingale(depth, Fraction(1), rule)
+
+
+class TestIntegerStepsMatchRules:
+    """The integer strategy steps give the raw, unreduced (num, den) of their
+    rule forms at every node: both multiply by (q +- p)/q."""
+
+    @staticmethod
+    def same_arrays(m, reference, depth):
+        got, want = m.tabulate(depth), reference.tabulate(depth)
+        assert got.nums == want.nums and got.dens == want.dens
+
+    def test_coincidence(self):
+        for length in range(9):
+            for ref in all_strings(length):
+                self.same_arrays(coincidence_martingale(ref), rule_coincidence(ref), length)
+
+    def test_pair_doubling(self):
+        for depth in range(11):
+            self.same_arrays(pair_doubling_martingale(depth), rule_pair_doubling(depth), depth)
 
 
 class TestAdversary:
