@@ -27,12 +27,13 @@ GUARD = 20
 
 
 def fmt(value) -> str:
-    """``true``/``false`` for a bool, ``str`` for an int and ``num/den`` for a Fraction."""
+    """``true``/``false`` for a bool, ``str`` for an int and ``num/den`` for a
+    (num, den) pair (see :data:`codec.Rational`)."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    return f"{value.numerator}/{value.denominator}"
+    return f"{value[0]}/{value[1]}"
 
 
 def integer(text: str) -> int:
@@ -140,12 +141,11 @@ def cmd_codec(args) -> tuple[list[Result], list[str]]:
 
 
 def cmd_budget(args) -> tuple[Iterable[Result], list[str]]:
-    from fractions import Fraction
-    terms, remainder = codec.budget_sequence(args.k)
+    terms, (num, den) = codec.budget_sequence(args.k)
     # budget_sequence guarantees sum_i (i+1)*r_i + remainder == 1/2
     return chain(((f"r_{i}", fmt(r)) for i, r in enumerate(terms)), [
-        ("weighted_partial_sum", fmt(Fraction(1, 2) - remainder)),
-        ("remainder", fmt(remainder)),
+        ("weighted_partial_sum", fmt(codec.reduced(den - 2 * num, 2 * den))),
+        ("remainder", fmt((num, den))),
     ]), []
 
 
@@ -178,9 +178,9 @@ def cmd_adversary(args) -> tuple[Iterable[Result], list[str]]:
     trace = martingale.capital_trace(m, path)
     results = chain([("adversary", _show(path))], _capitals(path, trace))
     violations = [
-        f"capital increased at step {i}: {a} -> {b}"
+        f"capital increased at step {i}: {codec.rational_text(*a)} -> {codec.rational_text(*b)}"
         for i, (a, b) in enumerate(zip(trace, trace[1:]))
-        if b > a
+        if b[0] * a[1] > a[0] * b[1]
     ]
     return results, violations
 
@@ -204,8 +204,6 @@ def cmd_exceed(args) -> tuple[Iterable[Result], list[str]]:
     if args.n > n_max:
         raise ValueError(f"--n must be at most {n_max}, the largest n for which 2^n "
                          f"has at most {codec.MAX_DIGITS} digits")
-    from fractions import Fraction
-
     from . import oracle, strategies
     f = _functional(args)
     if args.path is not None:
@@ -215,7 +213,7 @@ def cmd_exceed(args) -> tuple[Iterable[Result], list[str]]:
     else:
         path = strategies.adversary_sequence(oracle.averaged(f, args.depth), args.depth)
     exceed = oracle.exceed_set(f, path, args.n)
-    mu, bound = exceed.measure(), Fraction(2, 2**args.n)
+    mu, bound = exceed.measure(), codec.reduced(2, 1 << args.n)
     results = chain([
         ("kernel", f.name),
         ("path", _show(path)),
@@ -223,7 +221,9 @@ def cmd_exceed(args) -> tuple[Iterable[Result], list[str]]:
         ("measure", fmt(mu)),
         ("bound", fmt(bound)),
     ], _numbered("member", exceed))
-    violations = [f"exceed-set measure {mu} above bound {bound}"] if mu > bound else []
+    violations = [
+        f"exceed-set measure {codec.rational_text(*mu)} above bound {codec.rational_text(*bound)}"
+    ] if mu[0] * bound[1] > bound[0] * mu[1] else []
     return results, violations
 
 
@@ -239,7 +239,9 @@ def cmd_engulf(args) -> tuple[Iterable[Result], list[str]]:
     f_j, bound = nulltests.engulf_transform(rows, args.j)
     mu = f_j.measure()
     results = chain([("measure", fmt(mu)), ("bound", fmt(bound))], _numbered("generator", f_j))
-    violations = [f"engulfed measure {mu} above bound {bound}"] if mu > bound else []
+    violations = [
+        f"engulfed measure {codec.rational_text(*mu)} above bound {codec.rational_text(*bound)}"
+    ] if mu[0] * bound[1] > bound[0] * mu[1] else []
     return results, violations
 
 

@@ -6,13 +6,14 @@ Binary strings are plain ``str`` objects over the characters ``"0"`` and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from math import gcd
+from typing import Callable
 
 # CPython's default int-from-str limit: ``int`` is quadratic in the digit count
 MAX_DIGITS = 4300
+# An exact rational as (numerator, denominator): reduced, with the denominator
+# positive, wherever a function returns one
+Rational = tuple[int, int]
 # read_file reads whole lines until a block holds at least this many characters
 _BLOCK_CHARS = 1 << 13
 
@@ -91,6 +92,19 @@ def read_rational(token: str) -> tuple[int, int]:
     raise ValueError(f"bad rational {excerpt(token)}")
 
 
+def reduced(num: int, den: int) -> Rational:
+    """num/den (den nonzero) in lowest terms, with a positive denominator."""
+    g = gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
+
+
+def rational_text(num: int, den: int) -> str:
+    """num/den (den nonzero) as ``str(Fraction(num, den))`` writes it, for
+    messages: in lowest terms, and an integer with no ``/1``."""
+    num, den = reduced(num, den)
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def num_of(sigma: str) -> int:
     """Rank of ``sigma`` in length-lexicographic order (shorter first): the
     binary number 1sigma less one.
@@ -154,14 +168,13 @@ def interval(family: str, m: int) -> range:
     raise ValueError(f"unknown family: {family!r}")
 
 
-def budget_sequence(k: int) -> tuple[tuple[Fraction, ...], Fraction]:
+def budget_sequence(k: int) -> tuple[tuple[Rational, ...], Rational]:
     """Greedy prefix r_0..r_k of powers of two with weighted sum below 1/2, as
     (terms, remainder): sum_i (i+1)*terms[i] + remainder == 1/2 exactly.
 
     r_i is the largest power of two with (i+1)*r_i <= remainder_i/2, which
     forces remainder_k <= (3/4)^k / 2 while keeping the remainder positive.
     """
-    from fractions import Fraction
     if k < 0:
         raise ValueError("k must be a natural number")
     # every value is dyadic: the remainder is rem / 2^e and r_i is 1 / 2^t
@@ -175,4 +188,4 @@ def budget_sequence(k: int) -> tuple[tuple[Fraction, ...], Fraction]:
             t += 1
         exponents.append(t)
         rem, e = (rem << (t - e)) - m, t  # t >= e, as the terms never grow
-    return tuple(Fraction(1, 1 << t) for t in exponents), Fraction(rem, 1 << e)
+    return tuple((1, 1 << t) for t in exponents), reduced(rem, 1 << e)

@@ -8,12 +8,12 @@ to a finite depth, subject to the fairness equation
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .codec import MAX_DIGITS, check_bits, excerpt, read_bits, read_file, read_rational, str_of
+from .codec import (MAX_DIGITS, Rational, check_bits, excerpt, rational_text, read_bits,
+                    read_file, read_rational, reduced, str_of)
 
 # Capital banked by the savings transform in units of 1; the working part is
 # kept strictly below this cap, so capital along a path never drops by more
@@ -120,8 +120,9 @@ class TableMartingale(Martingale):
         return TableMartingale(depth, self.nums[:size], self.dens[:size])
 
     @property
-    def table(self) -> dict[str, Fraction]:
+    def table(self) -> dict:
         """Every value as a ``str -> Fraction`` dict, built afresh on each access."""
+        from fractions import Fraction
         return {str_of(r): Fraction(*v) for r, v in enumerate(zip(self.nums, self.dens))}
 
     def _step(self, sigma: str, state: State) -> tuple[State, State]:
@@ -183,7 +184,7 @@ def savings_step(state: State, children: tuple[State, State]) -> tuple[State, St
 
 def negative(rank: int, num: int, den: int) -> str:
     """The message for the negative capital num/den (den > 0) at the string of rank ``rank``."""
-    return f"negative value {Fraction(num, den)} at {str_of(rank) or 'λ'!r}"
+    return f"negative value {rational_text(num, den)} at {str_of(rank) or 'λ'!r}"
 
 
 def unfair(rank: int, n: int, d: int, n0: int, d0: int, n1: int, d1: int) -> Optional[str]:
@@ -192,7 +193,7 @@ def unfair(rank: int, n: int, d: int, n0: int, d0: int, n1: int, d1: int) -> Opt
     if 2 * n * d0 * d1 == (n0 * d1 + n1 * d0) * d:
         return None
     return (f"averaging violated at {str_of(rank) or 'λ'!r}: "
-            f"2*{Fraction(n, d)} != {Fraction(n0, d0)} + {Fraction(n1, d1)}")
+            f"2*{rational_text(n, d)} != {rational_text(n0, d0)} + {rational_text(n1, d1)}")
 
 
 def validate(m: Martingale, depth: int) -> list[str]:
@@ -210,9 +211,10 @@ def validate(m: Martingale, depth: int) -> list[str]:
     return found
 
 
-def capital_trace(m: Martingale, path: str) -> list[Fraction]:
-    """Capitals along every prefix of ``path``, including the empty prefix."""
-    return [Fraction(num, den) for num, den in m.walk(path)]
+def capital_trace(m: Martingale, path: str) -> list[Rational]:
+    """Capitals along every prefix of ``path``, including the empty prefix, each
+    reduced (see :func:`codec.reduced`)."""
+    return [reduced(num, den) for num, den in m.walk(path)]
 
 
 # one ``<bits|-> <value>`` line of a table file, with no other whitespace;

@@ -6,11 +6,12 @@ measure is the exact dyadic sum over the generators.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import Iterable, Sequence
 
-from .codec import check_bits, excerpt, is_digits, logpart_size, read_bits, read_file, s_index
+from .codec import (Rational, check_bits, excerpt, is_digits, logpart_size, rational_text,
+                    read_bits, read_file, reduced, s_index)
 
 # the words _check_words joins for one check: a few KB, where one copy of
 # every word would raise a load's peak
@@ -62,10 +63,10 @@ class ClopenSet:
         if any(map(str.startswith, s[1:], s)):
             raise ValueError("generators must form an antichain")
 
-    def measure(self) -> Fraction:
-        # every 2^-|g| over the one denominator 2^top
+    def measure(self) -> Rational:
+        # every 2^-|g| over the one denominator 2^top, reduced
         top = max(map(len, self.generators), default=0)
-        return Fraction(sum(1 << (top - len(g)) for g in self.generators), 1 << top)
+        return reduced(sum(1 << (top - len(g)) for g in self.generators), 1 << top)
 
     def sorted_generators(self) -> list[str]:
         # the sort is stable, so the words of one length stay in lexicographic order
@@ -83,13 +84,13 @@ def kurtz_validate(levels: Sequence[ClopenSet]) -> list[str]:
     """All levels G_i of a Kurtz test whose measure exceeds the 2^-i bound."""
     violations = []
     for i, level in enumerate(levels):
-        mu = level.measure()
-        if mu > Fraction(1, 2**i):
-            violations.append(f"level {i} has measure {mu} > 1/{2 ** i}")
+        num, den = level.measure()
+        if num << i > den:
+            violations.append(f"level {i} has measure {rational_text(num, den)} > 1/{2 ** i}")
     return violations
 
 
-def engulf_transform(rows: Sequence[Sequence[ClopenSet]], j: int) -> tuple[ClopenSet, Fraction]:
+def engulf_transform(rows: Sequence[Sequence[ClopenSet]], j: int) -> tuple[ClopenSet, Rational]:
     """Union over the rows i of the shifted diagonal cells G_{i, i+j+1}, with its bound.
 
     Row i is a Kurtz test, its levels G_{i,0}, G_{i,1}, ...
@@ -109,11 +110,10 @@ def engulf_transform(rows: Sequence[Sequence[ClopenSet]], j: int) -> tuple[Clope
             raise ValueError(f"row {i} is not a Kurtz test: {bad[0]}")
         generators |= row[k].generators
     f_j = normalize(generators)
-    bound = (1 - Fraction(1, 2 ** len(rows))) * Fraction(1, 2**j)
-    return f_j, bound
+    return f_j, reduced((1 << len(rows)) - 1, 1 << (len(rows) + j))
 
 
-def dnr_cover_product(e: int, n_max: int) -> tuple[Fraction, Fraction, list[int]]:
+def dnr_cover_product(e: int, n_max: int) -> tuple[Rational, Rational, list[int]]:
     """(P_0, P_{n_max}, [i < n_max : P_i <= 0]) for P_N = prod_{n<=N} (1 - 2^-|I_{s(e,n)}|).
 
     One product is held at a time.  Every factor lies in [0, 1), so the list
@@ -123,7 +123,9 @@ def dnr_cover_product(e: int, n_max: int) -> tuple[Fraction, Fraction, list[int]
     if e < 0 or n_max < 0:
         raise ValueError("e and n_max must be natural numbers")
     nonpositive = []
-    product = Fraction(1)
+    # every factor is (2^size - 1) / 2^size, so the numerator stays odd and the
+    # product num / den stays in lowest terms
+    num, den = 1, 1
     for n in range(n_max + 1):
         size = logpart_size(s_index(e, n))
         # integerized form of the comparison chain bounding the n-th factor
@@ -132,22 +134,22 @@ def dnr_cover_product(e: int, n_max: int) -> tuple[Fraction, Fraction, list[int]
                 f"interval size comparison failed at e={e}, n={n}: "
                 f"2^{size} > 64*(e+1)^2*(n+1)"
             )
-        product *= 1 - Fraction(1, 2**size)
+        num, den = num * ((1 << size) - 1), den << size
         if n == 0:
-            first = product
-        if product <= 0 and n < n_max:
+            first = num, den
+        if num <= 0 and n < n_max:
             nonpositive.append(n)
-    return first, product, nonpositive
+    return first, (num, den), nonpositive
 
 
-def divergence_partial(e: int, n_max: int) -> Fraction:
+def divergence_partial(e: int, n_max: int) -> Rational:
     """Exact value of (1/64) (e+1)^-2 sum_{n=e+2}^{N} 1/(n+1)."""
     if n_max < e + 2:
         raise ValueError("need n_max >= e + 2")
-    harmonic = sum(
-        (Fraction(1, n + 1) for n in range(e + 2, n_max + 1)), Fraction(0)
-    )
-    return Fraction(1, 64) * Fraction(1, (e + 1) ** 2) * harmonic
+    # the harmonic part over one common denominator, reduced once
+    common = lcm(*range(e + 3, n_max + 2))
+    harmonic = sum(common // (n + 1) for n in range(e + 2, n_max + 1))
+    return reduced(harmonic, 64 * (e + 1) ** 2 * common)
 
 
 def load_clopen(path) -> ClopenSet:

@@ -8,7 +8,8 @@ from typing import Callable, Sequence
 import pytest
 
 from recmeasure.codec import logpart_size, s_index
-from recmeasure.martingale import Martingale, all_strings, savings_start, savings_step
+from recmeasure.martingale import (Martingale, all_strings, capital_trace, savings_start,
+                                   savings_step)
 from recmeasure.param import Parametrization, io_match_report
 
 
@@ -89,6 +90,17 @@ class SavingsMartingale(Martingale):
 
     def _step(self, sigma: str, state):
         return savings_step(state, self.base._step(sigma, state[3]))
+
+
+def as_pair(x) -> tuple[int, int]:
+    """``x``, an int or Fraction, as the reduced (num, den) pair that recmeasure returns."""
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def fraction_trace(m: Martingale, path: str) -> list[Fraction]:
+    """``capital_trace(m, path)`` as Fractions, for arithmetic on the capitals."""
+    return [Fraction(*v) for v in capital_trace(m, path)]
 
 
 def consistent(row: str, target: str) -> bool:

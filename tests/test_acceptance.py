@@ -29,6 +29,7 @@ from recmeasure.strategies import (
 
 from conftest import (
     SavingsMartingale,
+    as_pair,
     consistent,
     partial_products,
     random_strategy_martingale,
@@ -83,14 +84,14 @@ def test_criterion_03_coincidence_capital():
     for path in all_strings(12):
         c = sum(a == b for a, b in zip(path, ref))
         w = 12 - c
-        assert capital_trace(m, path)[-1] == Fraction(3, 2) ** c * Fraction(1, 2) ** w
-    assert capital_trace(coincidence_martingale("000"), "001")[-1] == Fraction(9, 8)
+        assert capital_trace(m, path)[-1] == as_pair(Fraction(3, 2) ** c * Fraction(1, 2) ** w)
+    assert capital_trace(coincidence_martingale("000"), "001")[-1] == (9, 8)
     for n in range(3):
         # right on all but the first 3^n of 3^(n+1) bets: 3^c/2^t = (9/8)^(3^n)
         wrong, total = 3**n, 3 ** (n + 1)
         m = coincidence_martingale("0" * total)
         path = "1" * wrong + "0" * (total - wrong)
-        assert capital_trace(m, path)[-1] == Fraction(9, 8) ** (3**n)
+        assert capital_trace(m, path)[-1] == as_pair(Fraction(9, 8) ** (3**n))
     for n in range(7):
         assert Fraction(3 ** (3 ** (n + 1) - 3**n), 2 ** (3 ** (n + 1))) == Fraction(
             9, 8
@@ -102,7 +103,7 @@ def test_criterion_04_adversary():
     rng = random.Random(RNG_SEED)
     for _ in range(200):
         m = random_strategy_martingale(rng, 10)
-        trace = capital_trace(m, adversary_sequence(m, 10))
+        trace = [Fraction(*v) for v in capital_trace(m, adversary_sequence(m, 10))]
         assert all(b <= a for a, b in zip(trace, trace[1:]))
         assert all(v <= trace[0] for v in trace)
     report(4, "200 randomized martingales, nonincreasing adversary traces")
@@ -118,7 +119,8 @@ def test_criterion_05_averaged_equals_brute_force():
     for f, depth in functionals:
         n = averaged_martingale(f, depth)
         for sigma in strings_up_to(depth):
-            assert capital_trace(n, sigma)[-1] == brute_force_average(f, sigma, depth), f.name
+            want = as_pair(brute_force_average(f, sigma, depth))
+            assert capital_trace(n, sigma)[-1] == want, f.name
     report(5, f"{len(functionals)} kernels equal the double-sum oracle exactly")
 
 
@@ -127,10 +129,10 @@ def test_criterion_06_exceed_measure_bound():
     n_avg = averaged_martingale(f, 8)
     path = adversary_sequence(n_avg, 8)
     for level in range(1, 5):
-        ex = exceed_set(f, path, level)
-        assert ex.measure() <= Fraction(1, 2 ** (level - 1))
+        mu = Fraction(*exceed_set(f, path, level).measure())
+        assert mu <= Fraction(1, 2 ** (level - 1))
         if level >= 2:
-            assert ex.measure() <= Fraction(1, 2**level)
+            assert mu <= Fraction(1, 2**level)
     report(6, "exceed-set measures within 2^-(n-1) for n=1..4 (2^-n for n>=2)")
 
 
@@ -161,7 +163,7 @@ def test_criterion_07_engulf_bound():
         for n_rows in range(1, 10):
             for j in range(9):
                 f_j, bound = engulf_transform(rows[:n_rows], j)
-                assert f_j.measure() <= bound <= Fraction(1, 2**j)
+                assert Fraction(*f_j.measure()) <= Fraction(*bound) <= Fraction(1, 2**j)
     report(7, "engulfed measure within 2^-j for all arrays, 1-9 rows, j <= 8")
 
 
@@ -172,7 +174,7 @@ def test_criterion_08_dnr_cover():
         partials = partial_products(e, 1000)
         assert all(p > 0 for p in partials)
         assert all(b < a for a, b in zip(partials, partials[1:]))
-        assert dnr_cover_product(e, 1000) == (partials[0], partials[-1], [])
+        assert dnr_cover_product(e, 1000) == (as_pair(partials[0]), as_pair(partials[-1]), [])
     for e in range(9):
         for n in range(e + 2, 1001):
             assert 2 ** logpart_size(s_index(e, n)) <= 64 * (e + 1) ** 2 * (n + 1)
@@ -183,9 +185,9 @@ def test_criterion_08_dnr_cover():
 def test_criterion_09_budget():
     terms, _ = budget_sequence(64)
     partial = Fraction(0)
-    for i, r in enumerate(terms):
-        assert r.numerator == 1 and (r.denominator & (r.denominator - 1)) == 0
-        partial += (i + 1) * r
+    for i, (num, den) in enumerate(terms):
+        assert num == 1 and (den & (den - 1)) == 0
+        partial += Fraction(i + 1, den)
         assert partial < Fraction(1, 2)
         assert Fraction(1, 2) - partial <= Fraction(3, 4) ** i * Fraction(1, 2)
     for size in range(1, 17):
@@ -216,7 +218,7 @@ def test_criterion_11_pair_doubling_and_q_transform():
             for i in range(500)
         ):
             doubled = all(path[2 * x] == path[2 * x + 1] for x in range(k))
-            assert capital_trace(m, path)[-1] == (2**k if doubled else 0)
+            assert capital_trace(m, path)[-1] == (2**k if doubled else 0, 1)
     for half_depth in (1, 2, 3, 6):
         depth = 2 * half_depth
         for half_bits in itertools.product("01", repeat=half_depth):

@@ -855,6 +855,64 @@ class TestImports:
         assert "recmeasure.param" in modules
         assert not modules & {"dataclasses", "inspect", "fractions", "decimal"}
 
+    @pytest.mark.parametrize("name, status", [
+        ("codec", 0), ("codec-refused", 2), ("budget", 0), ("validate", 0),
+        ("validate-planted", 1), ("json-validate-planted", 1), ("trace-table", 0),
+        ("trace-coincidence", 0), ("adversary-table", 1), ("adversary-pair-doubling", 0),
+        ("average", 0), ("average-refused", 2), ("exceed-coincidence", 0),
+        ("exceed-savings", 0), ("exceed-refused", 2), ("measure", 0), ("engulf", 0),
+        ("engulf-not-kurtz", 2), ("dnr-cover", 0), ("param", 0), ("param-halve", 0),
+    ])
+    def test_loads_no_fractions_or_decimal(self, tmp_path, good_table_file, bad_table_file,
+                                           clopen_file, name, status):
+        # every exact value is an int pair, so no path, not even a violation
+        # or a refusal, loads fractions (and the decimal it imports)
+        rising, row, bad_row, rows = (tmp_path / f for f in
+                                      ("rising.txt", "row.txt", "not-kurtz.txt", "rows.txt"))
+        rising.write_text("- 1\n0 2\n1 2\n")
+        row.write_text("[level 0]\n0\n[level 1]\n00\n[level 2]\n000\n")
+        bad_row.write_text("[level 0]\n0\n[level 1]\n-\n")
+        rows.write_text("0121\n2100\n")
+        kernel = ["--kernel", "coincidence", "--depth"]
+        argv = {
+            "codec": ["codec", "--num", "0110", "--pair", "3", "4"],
+            "codec-refused": ["codec", "--interval", "pow2", "100000"],
+            "budget": ["budget", "--k", "5"],
+            "validate": ["validate", good_table_file],
+            "validate-planted": ["validate", bad_table_file],
+            "json-validate-planted": ["--json", "validate", bad_table_file],
+            "trace-table": ["trace", good_table_file, "--path", "1"],
+            "trace-coincidence": ["trace", "--strategy", "coincidence", "--ref", "01",
+                                  "--path", "00"],
+            "adversary-table": ["adversary", str(rising)],
+            "adversary-pair-doubling": ["adversary", "--strategy", "pair-doubling",
+                                        "--depth", "4"],
+            "average": ["average", *kernel, "3"],
+            "average-refused": ["average", *kernel, "21"],
+            "exceed-coincidence": ["exceed", *kernel, "4", "--n", "0"],
+            "exceed-savings": ["exceed", "--kernel", "savings-coincidence", "--depth", "4",
+                               "--n", "1", "--path", "0110"],
+            "exceed-refused": ["exceed", *kernel, "4", "--n", "20000"],
+            "measure": ["measure", clopen_file],
+            "engulf": ["engulf", str(row), "--j", "1"],
+            "engulf-not-kurtz": ["engulf", str(bad_row), "--j", "0"],
+            "dnr-cover": ["dnr-cover", "--e", "1", "--n", "6"],
+            "param": ["param", str(rows), "--target", "0110"],
+            "param-halve": ["param", str(rows), "--halve"],
+        }[name]
+        modules, _ = loaded_modules(argv, status)
+        assert not modules & {"fractions", "decimal"}
+
+    def test_oracle_import_loads_no_fractions_or_decimal(self):
+        # the import that bench/functional_validate.py makes
+        code = "import sys, recmeasure.oracle; print(*sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=subprocess_env("0"))
+        assert proc.returncode == 0, proc.stderr
+        modules = set(proc.stdout.decode().split())
+        assert "recmeasure.oracle" in modules
+        assert not modules & {"fractions", "decimal"}
+
     @pytest.mark.parametrize(
         "command", ["budget", "validate", "trace", "adversary", "measure", "engulf", "dnr-cover"])
     def test_loads_no_dataclasses(self, tmp_path, good_table_file, clopen_file, command):

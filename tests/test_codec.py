@@ -19,6 +19,8 @@ from recmeasure.codec import (
     str_of,
 )
 
+from conftest import as_pair
+
 
 def length_lex_enumeration(max_length: int) -> list[str]:
     """Independent enumeration of all strings in length-lex order."""
@@ -156,13 +158,13 @@ class TestIntervals:
 
 
 def weighted_sum(terms) -> Fraction:
-    return sum(((i + 1) * r for i, r in enumerate(terms)), Fraction(0))
+    return sum((Fraction(i + 1, den) for i, (_, den) in enumerate(terms)), Fraction(0))
 
 
 class TestBudget:
     def test_first_terms(self):
-        assert budget_sequence(1) == ((Fraction(1, 4), Fraction(1, 16)), Fraction(1, 8))
-        assert budget_sequence(0) == ((Fraction(1, 4),), Fraction(1, 4))
+        assert budget_sequence(1) == (((1, 4), (1, 16)), (1, 8))
+        assert budget_sequence(0) == (((1, 4),), (1, 4))
 
     def test_partial_sum_at_two(self):
         terms, _ = budget_sequence(2)
@@ -172,14 +174,13 @@ class TestBudget:
     def test_invariants_up_to_64(self):
         terms, last = budget_sequence(64)
         remainder = Fraction(1, 2)
-        for i, r in enumerate(terms):
-            assert r > 0
-            assert r.numerator == 1 and (r.denominator & (r.denominator - 1)) == 0
-            remainder -= (i + 1) * r
+        for i, (num, den) in enumerate(terms):
+            assert num == 1 and den > 0 and (den & (den - 1)) == 0
+            remainder -= Fraction(i + 1, den)
             assert remainder > 0
             assert remainder <= Fraction(3, 4) ** (i + 1) * Fraction(1, 2)
-        assert remainder == last
-        assert weighted_sum(terms) + last == Fraction(1, 2)
+        assert (remainder.numerator, remainder.denominator) == last
+        assert weighted_sum(terms) + Fraction(*last) == Fraction(1, 2)
 
     def test_prefix_consistency(self):
         long, _ = budget_sequence(20)
@@ -189,7 +190,8 @@ class TestBudget:
     def test_matches_the_fraction_greedy_rule(self):
         terms, remainders = reference_budget(1500)
         for k in [*range(201), 1500]:
-            assert budget_sequence(k) == (tuple(terms[: k + 1]), remainders[k])
+            assert budget_sequence(k) == (tuple(map(as_pair, terms[: k + 1])),
+                                          as_pair(remainders[k]))
 
 
 def reference_budget(k: int) -> tuple[list[Fraction], list[Fraction]]:

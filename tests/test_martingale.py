@@ -22,6 +22,8 @@ from recmeasure.strategies import coincidence_martingale, pair_doubling_martinga
 from conftest import (
     RuleMartingale,
     SavingsMartingale,
+    as_pair,
+    fraction_trace,
     random_strategy_martingale,
     rank_arrays,
     strings_up_to,
@@ -104,12 +106,12 @@ class TestOneCopy:
 
 class TestEvaluate:
     def test_constant(self):
-        assert capital_trace(constant_one(4), "1010")[-1] == 1
+        assert capital_trace(constant_one(4), "1010")[-1] == (1, 1)
 
     def test_coincidence_examples(self):
         m = coincidence_martingale("0000")
-        assert capital_trace(m, "00")[-1] == Fraction(9, 4)
-        assert capital_trace(m, "01")[-1] == Fraction(3, 4)
+        assert capital_trace(m, "00")[-1] == (9, 4)
+        assert capital_trace(m, "01")[-1] == (3, 4)
 
     def test_float_initial_capital_rejected(self):
         def rule(sigma):
@@ -117,7 +119,7 @@ class TestEvaluate:
 
         with pytest.raises(ValueError, match="initial capital 0.1 is not an exact rational"):
             RuleMartingale(2, 0.1, rule)
-        assert capital_trace(RuleMartingale(2, 3, rule), "00")[-1] == Fraction(27, 4)
+        assert capital_trace(RuleMartingale(2, 3, rule), "00")[-1] == (27, 4)
 
     def test_out_of_depth_query_errors(self):
         with pytest.raises(ValueError):
@@ -152,20 +154,15 @@ class TestTree:
 
 class TestTrace:
     def test_constant(self):
-        assert capital_trace(constant_one(3), "101") == [1, 1, 1, 1]
+        assert capital_trace(constant_one(3), "101") == [(1, 1)] * 4
 
     def test_coincidence(self):
         m = coincidence_martingale("000")
-        assert capital_trace(m, "000") == [
-            1,
-            Fraction(3, 2),
-            Fraction(9, 4),
-            Fraction(27, 8),
-        ]
+        assert capital_trace(m, "000") == [(1, 1), (3, 2), (9, 4), (27, 8)]
 
     def test_pair_doubling(self):
         m = pair_doubling_martingale(4)
-        assert capital_trace(m, "0011") == [1, 1, 2, 2, 4]
+        assert capital_trace(m, "0011") == [(1, 1), (1, 1), (2, 1), (2, 1), (4, 1)]
 
 
 class TestCombineSum:
@@ -175,12 +172,12 @@ class TestCombineSum:
     def test_opposite_coincidences(self):
         a = coincidence_martingale("0000")
         b = coincidence_martingale("1111")
-        halves = {x: (capital_trace(a, x)[-1] + capital_trace(b, x)[-1]) / 2
+        halves = {x: (fraction_trace(a, x)[-1] + fraction_trace(b, x)[-1]) / 2
                   for x in strings_up_to(4)}
         s = TableMartingale(4, *rank_arrays(4, halves))
         # the first-bit bets cancel, deeper ones do not
-        assert capital_trace(s, "0")[-1] == capital_trace(s, "1")[-1] == 1
-        assert capital_trace(s, "00")[-1] == Fraction(5, 4)
+        assert capital_trace(s, "0")[-1] == capital_trace(s, "1")[-1] == (1, 1)
+        assert capital_trace(s, "00")[-1] == (5, 4)
         assert validate(s, 4) == []
 
     def test_linearity_exact(self, rng):
@@ -190,7 +187,7 @@ class TestCombineSum:
             for _ in range(4)
         ]
         table = {
-            sigma: sum(w * capital_trace(m, sigma)[-1] for w, m in members)
+            sigma: sum(w * fraction_trace(m, sigma)[-1] for w, m in members)
             for sigma in strings_up_to(depth)
         }
         assert validate(TableMartingale(depth, *rank_arrays(depth, table)), depth) == []
@@ -199,7 +196,7 @@ class TestCombineSum:
 class TestSavings:
     def test_constant_unchanged(self):
         s = SavingsMartingale(constant_one(4))
-        assert all(capital_trace(s, x)[-1] == 1 for x in strings_up_to(4))
+        assert all(capital_trace(s, x)[-1] == (1, 1) for x in strings_up_to(4))
 
     def test_doubling_path_banks_units(self):
         # all-in doubling along 000...: each doubling lifts the working part
@@ -210,8 +207,8 @@ class TestSavings:
 
         m = StrategyMartingale(6, (1, 1), step)
         s = SavingsMartingale(m)
-        assert capital_trace(m, "0" * 6) == [2**i for i in range(7)]
-        assert capital_trace(s, "0" * 6) == list(range(1, 8))
+        assert capital_trace(m, "0" * 6) == [(2**i, 1) for i in range(7)]
+        assert capital_trace(s, "0" * 6) == [(i, 1) for i in range(1, 8)]
 
     def test_valid_and_drop_bounded(self, rng):
         depth = 10
@@ -220,7 +217,7 @@ class TestSavings:
             s = SavingsMartingale(m)
             assert validate(s, depth) == []
             for leaf in all_strings(depth):
-                trace = capital_trace(s, leaf)
+                trace = fraction_trace(s, leaf)
                 # the bank never falls and the working part stays below the cap
                 running_max = trace[0]
                 for value in trace[1:]:
@@ -237,7 +234,7 @@ class TestTableIO:
     def test_roundtrip(self, tmp_path, rng):
         m = random_strategy_martingale(rng, 4)
         path = tmp_path / "table.txt"
-        lines = (f"{x or '-'} {capital_trace(m, x)[-1]}\n" for x in strings_up_to(4))
+        lines = (f"{x or '-'} {fraction_trace(m, x)[-1]}\n" for x in strings_up_to(4))
         path.write_text("".join(lines))
         loaded = load_table(path)
         assert loaded.depth == 4
@@ -248,8 +245,8 @@ class TestTableIO:
         path = tmp_path / "t.txt"
         path.write_text("- 1\n0 1/2\n1 3/2\n")
         m = load_table(path)
-        assert capital_trace(m, "")[-1] == 1
-        assert capital_trace(m, "1")[-1] == Fraction(3, 2)
+        assert capital_trace(m, "")[-1] == (1, 1)
+        assert capital_trace(m, "1")[-1] == (3, 2)
 
     def test_malformed_rational_rejected(self, tmp_path):
         path = tmp_path / "t.txt"

@@ -25,7 +25,7 @@ from recmeasure.oracle import (
 )
 from recmeasure.strategies import adversary_sequence, coincidence_step
 
-from conftest import strings_up_to
+from conftest import as_pair, fraction_trace, strings_up_to
 
 
 def brute_force_average(f: TTFunctional, sigma: str, depth: int) -> Fraction:
@@ -36,26 +36,27 @@ def brute_force_average(f: TTFunctional, sigma: str, depth: int) -> Fraction:
         tau = "".join(bits)
         # pad so the factory sees a full-depth oracle word
         padded = tau + "0" * (f.use_bound(depth) - u)
-        total += capital_trace(f.factory(padded, depth), sigma)[-1]
+        total += Fraction(*capital_trace(f.factory(padded, depth), sigma)[-1])
     return total / 2**u
 
 
 class TestAveraged:
     def test_coincidence_averages_to_one(self):
         n = averaged_martingale(oracle_coincidence_functional(), 6)
-        assert all(capital_trace(n, s)[-1] == 1 for s in strings_up_to(6))
+        assert all(capital_trace(n, s)[-1] == (1, 1) for s in strings_up_to(6))
 
     def test_constant_averages_to_one(self):
         n = averaged_martingale(constant_functional(), 5)
-        assert all(capital_trace(n, s)[-1] == 1 for s in strings_up_to(5))
+        assert all(capital_trace(n, s)[-1] == (1, 1) for s in strings_up_to(5))
 
     def test_prefix_kernel_brute_force(self):
         f = prefix_coincidence_functional(1)
         n = averaged_martingale(f, 4)
         for sigma in strings_up_to(4):
-            assert capital_trace(n, sigma)[-1] == brute_force_average(f, sigma, 4)
+            assert capital_trace(n, sigma)[-1] == as_pair(brute_force_average(f, sigma, 4))
         # averaging the two length-1 oracles kills the first-bit bet
-        assert capital_trace(n, "0")[-1] == (Fraction(3, 2) + Fraction(1, 2)) / 2 == 1
+        assert capital_trace(n, "0")[-1] == as_pair((Fraction(3, 2) + Fraction(1, 2)) / 2)
+        assert capital_trace(n, "0")[-1] == (1, 1)
 
     def test_all_builtin_kernels_match_brute_force(self):
         for name, make in BUILTIN_KERNELS.items():
@@ -65,7 +66,8 @@ class TestAveraged:
             n = averaged_martingale(f, depth)
             assert validate(n, depth) == [], name
             for sigma in strings_up_to(depth):
-                assert capital_trace(n, sigma)[-1] == brute_force_average(f, sigma, depth), name
+                want = as_pair(brute_force_average(f, sigma, depth))
+                assert capital_trace(n, sigma)[-1] == want, name
 
     def test_average_holds_one_copy_of_the_table(self):
         # the tree walk's two lists become the table's arrays: about 58 B/entry
@@ -109,7 +111,7 @@ class TestAveraged:
     def test_exceed_path_may_pass_the_guard_depth(self):
         # exceed_set walks one path, so only its use bound is capped
         ex = exceed_set(constant_functional(), "0" * (GUARD + 5), 0)
-        assert ex.measure() == 0
+        assert ex.measure() == (0, 1)
 
 
 class TestFunctionalValidate:
@@ -162,8 +164,8 @@ class TestFunctionalValidate:
     def test_factory_rejects_a_short_oracle_word(self):
         # a short word once sliced to "" past its end, so M^tau bet nothing there
         f = oracle_coincidence_functional()
-        assert capital_trace(f.factory("111", 3), "111")[-1] == Fraction(27, 8)
-        assert capital_trace(f.factory("1110", 3), "111")[-1] == Fraction(27, 8)
+        assert capital_trace(f.factory("111", 3), "111")[-1] == (27, 8)
+        assert capital_trace(f.factory("1110", 3), "111")[-1] == (27, 8)
         for tau in ("1", "11", "", "1x1"):
             with pytest.raises(ValueError):
                 f.factory(tau, 3)
@@ -207,7 +209,7 @@ class TestFunctionalValidate:
 class TestExceedSet:
     def test_constant_never_exceeds(self):
         ex = exceed_set(constant_functional(), "0101", 1)
-        assert ex.measure() == 0
+        assert ex.measure() == (0, 1)
         assert not ex.generators
 
     def test_measure_at_most_one(self):
@@ -215,7 +217,7 @@ class TestExceedSet:
         n_avg = averaged_martingale(f, 8)
         path = adversary_sequence(n_avg, 8)
         ex = exceed_set(f, path, 0)
-        assert ex.measure() <= 1
+        assert Fraction(*ex.measure()) <= 1
 
     def test_sharper_measure_bound_for_savings_kernel(self):
         # with drop constant 2 the guaranteed bound is 2^-(n-1); for this
@@ -225,7 +227,7 @@ class TestExceedSet:
         path = adversary_sequence(n_avg, 8)
         for level in range(1, 5):
             ex = exceed_set(f, path, level)
-            assert ex.measure() <= Fraction(1, 2**level)
+            assert Fraction(*ex.measure()) <= Fraction(1, 2**level)
 
     def test_members_stay_up_after_exceeding(self):
         # once beyond 2^n + 1, a savings martingale keeps capital above
@@ -239,7 +241,7 @@ class TestExceedSet:
             for tau in ex.generators:
                 m = f.factory(tau, 8)
                 exceeded = False
-                for v in capital_trace(m, path):
+                for v in fraction_trace(m, path):
                     if exceeded:
                         assert v > floor
                     if v > 2**level + 1:
@@ -271,8 +273,7 @@ class TestBiasedCoincidence:
         f = savings_functional(biased_coincidence_functional())
         measures = {p: exceed_set(f, p, 1).measure() for p in ("0000", "1111", "0101", "1100")}
         assert measures == {
-            "0000": Fraction(81, 256), "1111": Fraction(1, 256),
-            "0101": Fraction(9, 256), "1100": Fraction(9, 256),
+            "0000": (81, 256), "1111": (1, 256), "0101": (9, 256), "1100": (9, 256),
         }
 
     @pytest.mark.parametrize("savings", [False, True])
@@ -283,7 +284,7 @@ class TestBiasedCoincidence:
         for path, level in itertools.product(all_strings(4), [0, 1]):
             hits = [
                 tau for tau in oracles
-                if max(capital_trace(f.factory(tau, 4), path)) > 2**level + 1
+                if max(fraction_trace(f.factory(tau, 4), path)) > 2**level + 1
             ]
             ex = exceed_set(f, path, level)
             assert ex.sorted_generators() == normalize(hits).sorted_generators(), (path, level)
@@ -303,12 +304,13 @@ class TestRootUse:
         depth = 3
         n = averaged_martingale(f, depth)
         for sigma in strings_up_to(depth):
-            assert capital_trace(n, sigma)[-1] == brute_force_average(f, sigma, depth), sigma
+            want = as_pair(brute_force_average(f, sigma, depth))
+            assert capital_trace(n, sigma)[-1] == want, sigma
         oracles = list(all_strings(u0 + depth))
         for path, level in itertools.product(["000", "011", "101"], [0, 1]):
             hits = [
                 tau for tau in oracles
-                if max(capital_trace(f.factory(tau, depth), path)) > 2**level + 1
+                if max(fraction_trace(f.factory(tau, depth), path)) > 2**level + 1
             ]
             ex = exceed_set(f, path, level)
             assert ex.sorted_generators() == normalize(hits).sorted_generators(), (path, level)
@@ -336,10 +338,10 @@ class TestRootUse:
             tau = witness.strip("-")
             m = f.factory(tau.ljust(u0 + depth, "0"), depth)
             if kind == "negative value":
-                assert len(tau) == u0 + len(at) and capital_trace(m, at)[-1] < 0, message
+                assert len(tau) == u0 + len(at) and fraction_trace(m, at)[-1] < 0, message
             else:
                 assert len(tau) == u0 + len(at) + 1, message
-                here, zero, one = (capital_trace(m, at + b)[-1] for b in ("", "0", "1"))
+                here, zero, one = (fraction_trace(m, at + b)[-1] for b in ("", "0", "1"))
                 assert 2 * here != zero + one, message
         assert kinds == {"negative value", "averaging violated"}
 
@@ -382,11 +384,11 @@ class TestXorSymmetry:
         def capitals(sigma):
             return sorted(capital_trace(f.factory(tau, 1), sigma)[-1] for tau in all_strings(2))
 
-        half, three_halves = Fraction(1, 2), Fraction(3, 2)
+        half, three_halves = (1, 2), (3, 2)
         assert capitals("1") == [half, half, half, three_halves]
         assert capitals("0") == [half, three_halves, three_halves, three_halves]
 
-    @pytest.mark.parametrize("level, measure", [(1, Fraction(1, 8)), (2, Fraction(1, 64))])
+    @pytest.mark.parametrize("level, measure", [(1, (1, 8)), (2, (1, 64))])
     def test_exceed_measure_is_one_value_over_all_paths(self, level, measure):
         f = XOR_SYMMETRIC["savings-coincidence"]
         assert {exceed_set(f, p, level).measure() for p in all_strings(8)} == {measure}

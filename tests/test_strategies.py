@@ -12,39 +12,30 @@ from recmeasure.strategies import (
     pair_doubling_martingale,
 )
 
-from conftest import RuleMartingale, random_strategy_martingale, rule_coincidence
+from conftest import (RuleMartingale, as_pair, fraction_trace, random_strategy_martingale,
+                      rule_coincidence)
 
 
 class TestCoincidence:
     def test_trace_on_agreement(self):
         m = coincidence_martingale("000")
-        assert capital_trace(m, "000") == [
-            1,
-            Fraction(3, 2),
-            Fraction(9, 4),
-            Fraction(27, 8),
-        ]
+        assert capital_trace(m, "000") == [(1, 1), (3, 2), (9, 4), (27, 8)]
 
     def test_trace_on_disagreement(self):
         m = coincidence_martingale("000")
-        assert capital_trace(m, "111") == [
-            1,
-            Fraction(1, 2),
-            Fraction(1, 4),
-            Fraction(1, 8),
-        ]
+        assert capital_trace(m, "111") == [(1, 1), (1, 2), (1, 4), (1, 8)]
 
     def test_agreement_on_first_pow3_interval(self):
         size = len(interval("pow3", 0))
         m = coincidence_martingale("0" * size)
-        assert capital_trace(m, "0" * size)[-1] == Fraction(27, 8) >= Fraction(9, 8)
+        assert fraction_trace(m, "0" * size)[-1] == Fraction(27, 8) >= Fraction(9, 8)
 
     def test_capital_identity_exhaustive(self):
         ref = "011010110101"
         m = coincidence_martingale(ref)
         for path in all_strings(12):
             correct = sum(a == b for a, b in zip(path, ref))
-            assert capital_trace(m, path)[-1] == Fraction(3**correct, 2**12)
+            assert capital_trace(m, path)[-1] == as_pair(Fraction(3**correct, 2**12))
 
     def test_query_beyond_reference_errors(self):
         with pytest.raises(ValueError):
@@ -55,22 +46,22 @@ class TestCapitalLowerBound:
     """Half-stake betting that is right c times out of t has capital 3^c/2^t."""
 
     def test_known_instances(self):
-        assert capital_trace(coincidence_martingale("000"), "001")[-1] == Fraction(9, 8)
+        assert capital_trace(coincidence_martingale("000"), "001")[-1] == (9, 8)
         m = coincidence_martingale("0" * 9)
-        assert capital_trace(m, "001001001")[-1] == Fraction(729, 512) == Fraction(9, 8) ** 3
+        assert fraction_trace(m, "001001001")[-1] == Fraction(729, 512) == Fraction(9, 8) ** 3
 
     def test_no_bets(self):
-        assert capital_trace(coincidence_martingale(""), "")[-1] == 1
+        assert capital_trace(coincidence_martingale(""), "")[-1] == (1, 1)
 
 
 class TestPairDoubling:
     def test_doubles_on_agreeing_pairs(self):
         m = pair_doubling_martingale(4)
-        assert capital_trace(m, "0011") == [1, 1, 2, 2, 4]
+        assert capital_trace(m, "0011") == [(1, 1), (1, 1), (2, 1), (2, 1), (4, 1)]
 
     def test_zero_after_violated_pair(self):
         m = pair_doubling_martingale(2)
-        assert capital_trace(m, "01") == [1, 1, 0]
+        assert capital_trace(m, "01") == [(1, 1), (1, 1), (0, 1)]
 
     def test_valid_to_depth_8(self):
         assert validate(pair_doubling_martingale(8), 8) == []
@@ -80,7 +71,7 @@ class TestPairDoubling:
             m = pair_doubling_martingale(2 * k)
             for path in all_strings(2 * k):
                 doubled = all(path[2 * x] == path[2 * x + 1] for x in range(k))
-                assert capital_trace(m, path)[-1] == (2**k if doubled else 0)
+                assert capital_trace(m, path)[-1] == (2**k if doubled else 0, 1)
 
 
 def rule_pair_doubling(depth: int) -> RuleMartingale:
@@ -118,13 +109,7 @@ class TestAdversary:
         m = coincidence_martingale("0000")
         path = adversary_sequence(m, 4)
         assert path == "1111"
-        assert capital_trace(m, path) == [
-            1,
-            Fraction(1, 2),
-            Fraction(1, 4),
-            Fraction(1, 8),
-            Fraction(1, 16),
-        ]
+        assert capital_trace(m, path) == [(1, 1), (1, 2), (1, 4), (1, 8), (1, 16)]
 
     def test_ties_pick_zero(self):
         m = pair_doubling_martingale(4)
@@ -137,7 +122,7 @@ class TestAdversary:
         for _ in range(200):
             m = random_strategy_martingale(rng, 10)
             path = adversary_sequence(m, 10)
-            trace = capital_trace(m, path)
+            trace = fraction_trace(m, path)
             for before, after in zip(trace, trace[1:]):
                 assert after <= before
             assert max(trace) <= trace[0]
@@ -176,7 +161,7 @@ class TestPruneLargest:
 def requirement_fraction(k_max: int) -> Fraction:
     """sum (i+1) r_i over the budget terms r_0..r_k_max."""
     terms, _ = budget_sequence(k_max)
-    return sum(((i + 1) * r for i, r in enumerate(terms)), Fraction(0))
+    return sum((Fraction(i + 1, den) for i, (_, den) in enumerate(terms)), Fraction(0))
 
 
 def survivors(size: int, k_max: int) -> Fraction:
