@@ -20,11 +20,11 @@ _BATCH = 256
 
 def _minimal(words: list[str]) -> list[str]:
     """The words with no proper prefix among the others, sorted, duplicates
-    dropped; ``words`` is sorted in place.
+    dropped; ``words`` is sorted in place, the one sort of a normalized set.
 
     In lexicographic order the extensions of a word follow it directly, so a
     word has a proper prefix or a copy before it exactly when the last kept
-    word is a prefix of it.
+    word is a prefix of it; the kept list is already the set's sorted tuple.
     """
     words.sort()
     kept: list[str] = []
@@ -46,12 +46,12 @@ def _check_words(words: Iterable[str]) -> None:
 
 
 class ClopenSet:
-    """The clopen set generated by an antichain of binary strings."""
+    """The clopen set generated by the sorted tuple of an antichain of binary strings."""
 
     __slots__ = ("generators",)
 
-    def __init__(self, generators: frozenset[str]) -> None:
-        self.generators = generators
+    def __init__(self, generators: Iterable[str]) -> None:
+        self.generators = tuple(sorted(generators))
         self.__post_init__()  # a method of its own, so bench/tracing.py can time it
 
     def __post_init__(self) -> None:
@@ -59,8 +59,7 @@ class ClopenSet:
         _check_words(self.generators)
         # the extensions of a word follow it directly in sorted order, so the
         # set is an antichain exactly when no word extends the one before it
-        s = sorted(self.generators)
-        if any(map(str.startswith, s[1:], s)):
+        if any(map(str.startswith, self.generators[1:], self.generators)):
             raise ValueError("generators must form an antichain")
 
     def measure(self) -> Rational:
@@ -70,14 +69,15 @@ class ClopenSet:
 
     def sorted_generators(self) -> list[str]:
         # the sort is stable, so the words of one length stay in lexicographic order
-        return sorted(sorted(self.generators), key=len)
+        return sorted(self.generators, key=len)
 
 
 def normalize(strings: Iterable[str]) -> ClopenSet:
-    """Drop every string that has a proper prefix in the set."""
+    """Drop every string that has a proper prefix in the set, and every copy, in one
+    sort; the constructor's sort and check are then linear, printing one sort by length."""
     words = list(strings)
     _check_words(words)
-    return ClopenSet(frozenset(_minimal(words)))
+    return ClopenSet(_minimal(words))
 
 
 def kurtz_validate(levels: Sequence[ClopenSet]) -> list[str]:
@@ -100,7 +100,7 @@ def engulf_transform(rows: Sequence[Sequence[ClopenSet]], j: int) -> tuple[Clope
     """
     if j < 0:
         raise ValueError("j must be a natural number")
-    generators: set[str] = set()
+    words: list[str] = []
     for i, row in enumerate(rows):
         k = i + j + 1
         if len(row) <= k:
@@ -108,8 +108,8 @@ def engulf_transform(rows: Sequence[Sequence[ClopenSet]], j: int) -> tuple[Clope
         bad = kurtz_validate(row)
         if bad:
             raise ValueError(f"row {i} is not a Kurtz test: {bad[0]}")
-        generators |= row[k].generators
-    f_j = normalize(generators)
+        words += row[k].generators
+    f_j = normalize(words)
     return f_j, reduced((1 << len(rows)) - 1, 1 << (len(rows) + j))
 
 
@@ -180,7 +180,7 @@ def load_kurtz(path) -> tuple[ClopenSet, ...]:
     the start of its line with i the next index in plain digits, is taken
     whole; every other line goes through ``parse``.
     """
-    levels: list[set[str]] = []
+    levels: list[list[str]] = []
 
     def parse(line: str) -> None:
         if line.startswith("[") and line.endswith("]"):
@@ -192,9 +192,9 @@ def load_kurtz(path) -> tuple[ClopenSet, ...]:
             index = int(header[1])
             if index != len(levels):
                 raise ValueError(f"expected level {len(levels)}, got {index}")
-            levels.append(set())
+            levels.append([])
         elif levels:
-            levels[-1].add(read_bits(line))
+            levels[-1].append(read_bits(line))
         else:
             raise ValueError("generator before any [level i]")
 
@@ -212,8 +212,8 @@ def load_kurtz(path) -> tuple[ClopenSet, ...]:
         if "".join(bodies).encode().translate(None, b"01\n") or (first.strip() and not levels):
             return False
         if levels:
-            levels[-1].update(first.split())
-        levels.extend(set(body.split()) for body in bodies[1:])
+            levels[-1] += first.split()
+        levels.extend(body.split() for body in bodies[1:])
         return True
 
     read_file(path, parse, block)

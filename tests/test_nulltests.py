@@ -42,18 +42,18 @@ def log_lower_bound(x: Fraction, terms: int = 40) -> Fraction:
 
 class TestNormalize:
     def test_drops_covered_string(self):
-        assert normalize(["0", "00"]).generators == frozenset(["0"])
+        assert normalize(["0", "00"]).generators == ("0",)
 
     def test_keeps_antichain(self):
-        assert normalize(["0", "10"]).generators == frozenset(["0", "10"])
+        assert normalize(["10", "0"]).generators == ("0", "10")
 
     def test_full_cover(self):
         c = normalize(["00", "01", "1"])
-        assert c.generators == frozenset(["00", "01", "1"])
+        assert c.generators == ("00", "01", "1")
         assert c.measure() == (1, 1)
 
     def test_root_swallows_everything(self):
-        assert normalize(["", "0", "11"]).generators == frozenset([""])
+        assert normalize(["", "0", "11"]).generators == ("",)
 
     def test_direct_construction_requires_antichain(self):
         with pytest.raises(ValueError):
@@ -89,7 +89,10 @@ class TestSortedScan:
 
     @given(word_lists())
     def test_normalize_keeps_the_minimal_words(self, words):
-        assert normalize(words).generators == quadratic_minimal(words)
+        minimal = sorted(quadratic_minimal(words))
+        c = normalize(words)
+        assert c.generators == tuple(minimal)
+        assert c.sorted_generators() == sorted(minimal, key=lambda g: (len(g), g))
 
     @given(word_lists(), st.text(alphabet="01", max_size=12))
     def test_clopen_set_rejects_exactly_the_non_antichains(self, words, extra):
@@ -102,7 +105,7 @@ class TestSortedScan:
                 with pytest.raises(ValueError, match="generators must form an antichain"):
                     ClopenSet(pool)
             else:
-                assert ClopenSet(pool).generators == pool
+                assert ClopenSet(pool).generators == tuple(sorted(pool))
 
     @given(word_lists())
     def test_measure_is_the_dyadic_sum(self, words):
@@ -132,11 +135,18 @@ class TestSortedScan:
         assert str(normalized.value) == str(constructed.value) == message
 
     def test_normalize_takes_any_iterable(self):
-        expected = frozenset(["0", "1"])
+        expected = ("0", "1")
         words = ["0", "00", "1", "0"]
         assert normalize(w for w in words).generators == expected
         assert normalize(set(words)).generators == expected
         assert normalize(tuple(words)).generators == expected
+        # the constructor sorts any iterable of one antichain into the same tuple
+        antichain = ["110", "0", "10", "111"]
+        expected = ("0", "10", "110", "111")
+        assert ClopenSet(antichain).generators == expected
+        assert ClopenSet(tuple(antichain)).generators == expected
+        assert ClopenSet(w for w in antichain).generators == expected
+        assert ClopenSet(frozenset(antichain)).generators == expected
 
 
 class TestMeasure:
@@ -226,6 +236,21 @@ class TestEngulf:
             rows.append(tuple(levels))
         f_j, bound = engulf_transform(rows, 1)
         assert f_j.measure() == bound == as_pair(Fraction(7, 8) * Fraction(1, 2))
+
+    @given(st.lists(word_lists(), min_size=1, max_size=4), st.integers(0, 2))
+    def test_shared_and_nested_cells_merge_as_one_normalize(self, cells, j):
+        # every word under 0^top keeps each cell below its level's bound, and
+        # the cells still share and nest words across rows as drawn
+        top = len(cells) + j
+        cells = [["0" * top + w for w in cell] for cell in cells]
+        rows = [
+            tuple(normalize(cell if k == i + j + 1 else []) for k in range(i + j + 2))
+            for i, cell in enumerate(cells)
+        ]
+        words = [w for cell in cells for w in cell]
+        f_j, _ = engulf_transform(rows, j)
+        expected = tuple(sorted(quadratic_minimal(words)))
+        assert f_j.generators == normalize(words).generators == expected
 
     def test_missing_cells_error(self):
         rows = [(normalize([]),)]
@@ -351,7 +376,7 @@ class TestFileIO:
         path = tmp_path / "c.txt"
         path.write_text("0\n10\n# comment\n")
         c = load_clopen(path)
-        assert c.generators == frozenset(["0", "10"])
+        assert c.generators == ("0", "10")
         assert c.measure() == (3, 4)
 
     def test_clopen_root_marker(self, tmp_path):
@@ -371,6 +396,14 @@ class TestFileIO:
         t = load_kurtz(path)
         assert len(t) == 3
         assert kurtz_validate(t) == []
+
+    def test_kurtz_repeated_generator_loads_alike(self, tmp_path):
+        # a level that repeats a line keeps the word once, read in blocks or by line
+        path = tmp_path / "k.txt"
+        path.write_text("[level 0]\n1\n0\n1\n[level 1]\n01\n00\n01\n01\n[level 2]\n110\n110\n")
+        expected = [("0", "1"), ("00", "01"), ("110",)]
+        assert outcome(load_kurtz, path) == outcome(load_kurtz, path, False) == expected
+        assert kurtz_validate(load_kurtz(path)) == []
 
     def test_kurtz_rejects_bad_section_order(self, tmp_path):
         path = tmp_path / "k.txt"
@@ -468,7 +501,7 @@ class TestBlockRead:
             "root": inserted("-"),
         })
         for name, path in paths.items():
-            expected = [frozenset([""]) if name == "root" else normalize(words).generators]
+            expected = [("",) if name == "root" else normalize(words).generators]
             assert outcome(load_clopen, path) == outcome(load_clopen, path, False) == expected, name
 
     @settings(max_examples=10, deadline=None)
@@ -494,7 +527,7 @@ class TestBlockRead:
         for name, path in paths.items():
             expected = [normalize(level).generators for level in levels]
             if name == "root":
-                expected[4] = frozenset([""])
+                expected[4] = ("",)
             assert outcome(load_kurtz, path) == outcome(load_kurtz, path, False) == expected, name
 
     @pytest.mark.parametrize("pad", ["", " "], ids=["canonical", "padded"])
