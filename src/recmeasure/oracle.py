@@ -1,19 +1,19 @@
 """Oracle-indexed martingale families, their exact average, and exceed sets.
 
-A truth-table functional is a martingale step that also reads the oracle bits
-tau[use(|sigma|):use(|sigma|+1)].  Averaging, exceed sets and validation step
-each state reached at sigma once, however many oracle prefixes reach it."""
+A truth-table functional is a martingale step that reads its state and the oracle
+bits tau[use(|sigma|):use(|sigma|+1)], not sigma.  Averaging, exceed sets and
+validation step each state reached at sigma once, however many oracle prefixes reach it."""
 
 from __future__ import annotations
 
 # Before dataclasses: a module compiled from source after inspect stacks the compiler on it
-from .codec import check_bits, excerpt, num_of
+from .codec import check_bits, excerpt, num_of, reduced
 from .martingale import Martingale, State, StrategyMartingale, TableMartingale, all_strings
 from .martingale import negative, savings_start, savings_step, tree, unfair
 from .strategies import coincidence_step
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:
@@ -40,21 +40,22 @@ def oracle_martingale(f: TTFunctional, tau: str, depth: int) -> StrategyMartinga
 
     def fed(sigma: str, state: State) -> tuple[State, State]:
         n = len(sigma)
-        return step(sigma, state, tau[use_bound(n) : use_bound(n + 1)])
+        return step(state, tau[use_bound(n) : use_bound(n + 1)])
 
     return StrategyMartingale(depth, f.start, fed)
 
 
 @dataclass(frozen=True)
 class TTFunctional:
-    """Oracle word -> martingale: ``step(sigma, state, fresh)`` gives the hashable
+    """Oracle word -> martingale: ``step(state, fresh)`` gives the hashable
     states at sigma+"0" and sigma+"1" from the one at sigma, reading the oracle
-    bits fresh = tau[use(n):use(n+1)], n = |sigma|; ``factory(tau, depth)`` is M^tau."""
+    bits fresh = tau[use(n):use(n+1)], n = |sigma|, and not sigma; a kernel
+    that bets on sigma carries it in its state.  ``factory(tau, depth)`` is M^tau."""
 
     name: str
     use_bound: Callable[[int], int]
     start: State
-    step: Callable[[str, State, str], tuple[State, State]]
+    step: Callable[[State, str], tuple[State, State]]
     factory: Optional[Callable[[str, int], Martingale]] = None
 
     def __post_init__(self) -> None:
@@ -92,7 +93,7 @@ def oracle_coincidence_functional() -> TTFunctional:
     return TTFunctional("coincidence", lambda n: n, (1, 1), coincidence_step)
 
 
-def prefix_coincidence_functional(prefix_length: int) -> TTFunctional:
+def prefix_coincidence_functional(prefix_length: int = 1) -> TTFunctional:
     """Coincidence betting on the first ``prefix_length`` oracle bits only."""
     if prefix_length < 0:
         raise ValueError("prefix length must be a natural number")
@@ -105,7 +106,7 @@ def biased_coincidence_functional() -> TTFunctional:
     when both are 1, so the average is N(sigma) = (5/4)^#0(sigma) * (3/4)^#1(sigma)."""
     return TTFunctional(
         "biased-coincidence", lambda n: 2 * n, (1, 1),
-        lambda sigma, state, fresh: coincidence_step(sigma, state, "1" if fresh == "11" else "0"),
+        lambda state, fresh: coincidence_step(state, "1" if fresh == "11" else "0"),
     )
 
 
@@ -113,7 +114,7 @@ def savings_functional(base: TTFunctional) -> TTFunctional:
     """Savings transform applied to every oracle's martingale."""
     return TTFunctional(
         f"savings({base.name})", base.use_bound, savings_start(base.start),
-        lambda sigma, state, fresh: savings_step(state, base.step(sigma, state[3], fresh)),
+        lambda state, fresh: savings_step(state, base.step(state[3], fresh)),
     )
 
 
@@ -132,8 +133,7 @@ def _mean(groups: dict) -> State:
     den = lcm(*(s[1] for s in groups))
     num = sum(count * s[0] * (den // s[1]) for s, count in groups.items())
     den *= sum(groups.values())  # the 2^use(|sigma|) oracle prefixes
-    g = gcd(num, den)
-    return num // g, den // g, groups
+    return *reduced(num, den), groups
 
 
 def averaged(f: TTFunctional, depth: int) -> StrategyMartingale:
@@ -146,7 +146,7 @@ def averaged(f: TTFunctional, depth: int) -> StrategyMartingale:
         zero, one = {}, {}
         for s, count in state[2].items():
             for fresh in freshes[len(sigma) + 1]:
-                s0, s1 = step(sigma, s, fresh)
+                s0, s1 = step(s, fresh)
                 zero[s0] = zero.get(s0, 0) + count
                 one[s1] = one.get(s1, 0) + count
         return _mean(zero), _mean(one)
@@ -171,7 +171,7 @@ def exceed_set(f: TTFunctional, path: str, n: int) -> ClopenSet:
     if n < 0:
         raise ValueError(f"exceed level must be a natural number, got {n}")
     freshes, top = f.levels(len(check_bits(path))), f.use_bound(len(path))
-    threshold, groups, hits, sigma = 2**n + 1, {f.start: freshes[0]}, [], ""
+    threshold, groups, hits = 2**n + 1, {f.start: freshes[0]}, []
     for i in range(len(path) + 1):
         for state in [s for s in groups if s[0] > threshold * s[1]]:
             hits += (t + r for t in groups.pop(state) for r in all_strings(top - len(t)))
@@ -179,10 +179,9 @@ def exceed_set(f: TTFunctional, path: str, n: int) -> ClopenSet:
             grown: dict[State, list[str]] = {}
             for state, taus in groups.items():
                 for fresh in freshes[i + 1]:
-                    child = f.step(sigma, state, fresh)[path[i] == "1"]
+                    child = f.step(state, fresh)[path[i] == "1"]
                     grown.setdefault(child, []).extend(tau + fresh for tau in taus)
             groups = grown
-            sigma += path[i]  # in place, as in Martingale.walk
     return normalize(hits)
 
 
@@ -202,7 +201,7 @@ def functional_validate(f: TTFunctional, depth: int) -> list[str]:
         zero, one, r = {}, {}, num_of(sigma)
         for state, tau in groups.items():
             for fresh in freshes[len(sigma) + 1]:
-                s0, s1 = f.step(sigma, state, fresh)
+                s0, s1 = f.step(state, fresh)
                 bad = unfair(r, *state[:2], *s0[:2], *s1[:2])
                 if bad:
                     violations.append(f"oracle {tau + fresh or '-'}: {bad}")

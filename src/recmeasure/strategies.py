@@ -17,13 +17,13 @@ def coincidence_martingale(ref: str) -> StrategyMartingale:
     """
     check_bits(ref)
     return StrategyMartingale(
-        len(ref), (1, 1), lambda sigma, state: coincidence_step(sigma, state, ref[len(sigma)]))
+        len(ref), (1, 1), lambda sigma, state: coincidence_step(state, ref[len(sigma)]))
 
 
-def coincidence_step(sigma: str, state: State, fresh: str) -> tuple[State, State]:
+def coincidence_step(state: State, fresh: str) -> tuple[State, State]:
     """Coincidence betting on integers against the reference bit ``fresh``.
 
-    The step of :func:`coincidence_martingale` with ``fresh`` = ref[|sigma|]:
+    The step of :func:`coincidence_martingale` at sigma, fed ``fresh`` = ref[|sigma|]:
     capital (num, den) goes to (3*num, 2*den) on agreement and to
     (num, 2*den) otherwise.  An empty ``fresh`` bets nothing.
     """

@@ -19,6 +19,20 @@ def strings_up_to(depth: int):
         yield from all_strings(length)
 
 
+def sigma_carried(step: Callable) -> Callable:
+    """The truth-table step of a test kernel that bets on sigma, which a step
+    cannot read: its state is (num, den, sigma), from (1, 1, ""), and
+    ``step(sigma, capital, fresh)`` gives the two child capitals from the
+    capital (num, den) at sigma."""
+
+    def carried(state, fresh):
+        num, den, sigma = state
+        zero, one = step(sigma, (num, den), fresh)
+        return (*zero, sigma + "0"), (*one, sigma + "1")
+
+    return carried
+
+
 def _rational(what: str, x) -> Rational:
     """``x`` itself if it is an exact rational (int or Fraction, not float)."""
     if not isinstance(x, Rational):

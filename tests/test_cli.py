@@ -16,7 +16,7 @@ from recmeasure import cli, nulltests
 from recmeasure.cli import main
 from recmeasure.codec import MAX_DIGITS, excerpt, logpart_size, s_index
 
-from conftest import partial_products, strings_up_to, table_file_text
+from conftest import partial_products, sigma_carried, strings_up_to, table_file_text
 
 
 def run_cli(capsys, *argv):
@@ -493,24 +493,26 @@ class TestOtherCommands:
 
     def test_exceed_steps_only_the_default_path(self, capsys, monkeypatch):
         # the default path is the adversary of the average, found one node per
-        # level without the 2^(d+1) - 1 node table
+        # level without the 2^(d+1) - 1 node table; the kernel carries sigma in
+        # its state, so each step shows the node it stands on
         from recmeasure import oracle
 
         calls = []
 
-        def step(sigma, state, fresh):
+        def step(sigma, capital, fresh):
             calls.append(sigma)
-            return oracle.coincidence_step(sigma, state, fresh)
+            return oracle.coincidence_step(capital, fresh)
 
         def table(f, depth):
             raise AssertionError("exceed tabulated the average")
 
-        monkeypatch.setitem(oracle.BUILTIN_KERNELS, "coincidence",
-                            lambda: oracle.TTFunctional("coincidence", lambda n: n, (1, 1), step))
+        monkeypatch.setitem(oracle.BUILTIN_KERNELS, "coincidence", lambda: oracle.TTFunctional(
+            "coincidence", lambda n: n, (1, 1, ""), sigma_carried(step)))
         monkeypatch.setattr(oracle, "averaged_martingale", table)
         code, out = run_cli(capsys, "exceed", "--kernel", "coincidence", "--depth", "12", "--n", "3")
         assert code == 0 and "path: 000000000000\n" in out
         assert 0 < len(calls) < 1000
+        assert set(calls) == {"0" * n for n in range(12)}
 
     def test_biased_coincidence_average(self, capsys):
         code, out = run_cli(capsys, "average", "--kernel", "biased-coincidence", "--depth", "2")
@@ -991,6 +993,17 @@ class TestImports:
 
         assert cli.KERNELS == sorted(oracle.BUILTIN_KERNELS)
 
+    def test_prefix_length_default_matches_oracle(self):
+        # the kernel made with no argument, as bench/functional_validate.py
+        # makes each, is the one the CLI makes without --prefix-length
+        from recmeasure import oracle
+
+        default = oracle.prefix_coincidence_functional().name
+        for argv in (["average"], ["exceed", "--n", "0"]):
+            args = cli.build_parser().parse_args(
+                [*argv, "--kernel", "prefix-coincidence", "--depth", "1"])
+            assert oracle.prefix_coincidence_functional(args.prefix_length).name == default
+
     def test_guard_matches_oracle(self):
         from recmeasure import oracle
 
@@ -1077,6 +1090,18 @@ def run_subprocess(argv, hashseed):
         capture_output=True,
         env=subprocess_env(hashseed),
     )
+
+
+class TestBenchValidateScript:
+    """bench/functional_validate.py runs on every built-in kernel."""
+
+    @pytest.mark.parametrize("name", cli.KERNELS)
+    def test_builtin_kernels_validate(self, capsys, monkeypatch, name):
+        monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+        import functional_validate
+
+        assert functional_validate.main([name, "4"]) == 0
+        assert capsys.readouterr().out.endswith("\nviolations: 0\n")
 
 
 class TestDeterminism:

@@ -23,6 +23,7 @@ from recmeasure.martingale import (
     all_strings,
     capital_trace,
     load_table,
+    tree,
     validate,
 )
 from recmeasure.nulltests import normalize
@@ -109,26 +110,30 @@ def thirds_table(rng, depth: int) -> RefTable:
     return RefTable(depth, table)
 
 
-def thirds_stake(sigma: str) -> Fraction:
-    return Fraction(1, 3) if sigma.count("1") % 2 else Fraction(2, 5)
+def thirds_stake(odd: int) -> Fraction:
+    """The stake at a string whose number of ones has parity ``odd``."""
+    return Fraction(1, 3) if odd else Fraction(2, 5)
 
 
 def thirds_strategy(depth: int, ref: str) -> RuleMartingale:
     """Stakes of 1/3 and 2/5 side by side in a level, so its scale is an lcm."""
 
     def rule(sigma: str):
-        return thirds_stake(sigma), int(ref[len(sigma)])
+        return thirds_stake(sigma.count("1") % 2), int(ref[len(sigma)])
 
     return RuleMartingale(depth, Fraction(1), rule)
 
 
-def thirds_step(sigma: str, state, fresh: str):
-    """The step of thirds_strategy(depth, tau) on integers, with fresh = tau[|sigma|]."""
-    num, den = state
-    stake = thirds_stake(sigma)
+def thirds_step(state, fresh: str):
+    """The step of thirds_strategy(depth, tau) on integers at sigma, with fresh =
+    tau[|sigma|]; its state (num, den, odd) holds the parity of #1(sigma), on
+    which the stake depends, since a kernel step does not read sigma."""
+    num, den, odd = state
+    stake = thirds_stake(odd)
     p, q = stake.numerator, stake.denominator
     win, lose = (num * (q + p), den * q), (num * (q - p), den * q)
-    return (lose, win) if fresh == "1" else (win, lose)
+    zero, one = (lose, win) if fresh == "1" else (win, lose)
+    return (*zero, odd), (*one, 1 - odd)
 
 
 def prefix_strategy(depth: int, tau: str, k: int) -> RuleMartingale:
@@ -329,16 +334,18 @@ class TestOracleEngine:
 
     def test_average_with_mixed_denominators(self):
         # oracles whose level denominators differ, summed over their lcm: the
-        # first oracle bit tags the state as thirds (1) or coincidence (0)
-        def step(sigma: str, state, fresh: str):
-            tag = state[2] or fresh
+        # first oracle bit tags the state as thirds (1) or coincidence (0); the
+        # state (num, den, odd, tag) carries the parity thirds_step reads
+        def step(state, fresh: str):
+            tag = state[3] or fresh
             if tag == "1":
-                zero, one = thirds_step(sigma, state[:2], "0")
+                zero, one = thirds_step(state[:3], "0")
             else:
-                zero, one = coincidence_step(sigma, state[:2], "1")
+                zero, one = coincidence_step(state[:2], "1")
+                zero, one = (*zero, state[2]), (*one, 1 - state[2])
             return zero + (tag,), one + (tag,)
 
-        f = TTFunctional("mixed", lambda n: min(n, 1), (1, 1, ""), step)
+        f = TTFunctional("mixed", lambda n: min(n, 1), (1, 1, 0, ""), step)
         n = averaged_martingale(f, 4)
         thirds, coincidence = thirds_strategy(4, "0000"), coincidence_martingale("1111")
         for sigma in strings_up_to(4):
@@ -361,7 +368,7 @@ class TestOracleEngine:
                 lambda tau, depth: prefix_strategy(depth, tau, 3),
             ),
             (
-                savings_functional(TTFunctional("thirds", lambda n: n, (1, 1), thirds_step)),
+                savings_functional(TTFunctional("thirds", lambda n: n, (1, 1, 0), thirds_step)),
                 lambda tau, depth: SavingsMartingale(thirds_strategy(depth, tau)),
             ),
         ]
@@ -417,11 +424,12 @@ class TestOracleEngine:
 def random_functional(seed: int, widths: list[int], mode: str, initial: int):
     """A step-form functional over len(widths) levels, reading widths[n] fresh
     oracle bits at level n, with capital ``initial`` at the root and stakes
-    k/q keyed on (sigma, fresh).
+    k/q keyed on (sigma, fresh).  A step reads only its state and fresh bits,
+    so the state is (num, den, sigma, *tag), and no two nodes share a state.
 
-    ``mode`` picks what the state holds besides the capital: nothing
-    ("value"; equal capitals merge), the parity of the oracle bits read
-    ("parity"), or the oracle prefix itself ("prefix"; nothing merges).  At
+    ``mode`` picks the tag: nothing ("value"; equal capitals at one sigma
+    merge), the parity of the oracle bits read ("parity"), or the oracle
+    prefix itself ("prefix"; nothing merges).  At
     some steps the stake exceeds 1, so a child goes negative, or the winning
     child gets 1/q too much, so the step is unfair.  Returns the functional
     and M^tau along a path, computed on Fractions from the bets alone.
@@ -439,16 +447,16 @@ def random_functional(seed: int, widths: list[int], mode: str, initial: int):
             extra = 1
         return k, q, rng.randint(0, 1), extra
 
-    def step(sigma: str, state, fresh: str):
-        num, den = state[:2]
+    def step(state, fresh: str):
+        num, den, sigma, *tag = state
         k, q, bit, extra = bet(sigma, fresh)
         win, lose = (num * (q + k + extra), den * q), (num * (q - k), den * q)
-        tag = state[2:]
         if mode == "parity":
-            tag = ((tag[0] + fresh.count("1")) % 2,)
+            tag = [(tag[0] + fresh.count("1")) % 2]
         elif mode == "prefix":
-            tag = (tag[0] + fresh,)
-        return (win + tag, lose + tag) if bit == 0 else (lose + tag, win + tag)
+            tag = [tag[0] + fresh]
+        zero, one = (win, lose) if bit == 0 else (lose, win)
+        return (*zero, sigma + "0", *tag), (*one, sigma + "1", *tag)
 
     def capitals(tau: str, path: str) -> list[Fraction]:
         v = Fraction(initial)
@@ -459,7 +467,7 @@ def random_functional(seed: int, widths: list[int], mode: str, initial: int):
             out.append(v)
         return out
 
-    start = (initial, 1) + {"value": (), "parity": (0,), "prefix": ("",)}[mode]
+    start = (initial, 1, "") + {"value": (), "parity": (0,), "prefix": ("",)}[mode]
     return TTFunctional("random", lambda n: uses[n], start, step), capitals
 
 
@@ -521,6 +529,36 @@ class TestMergedEngineMatchesEnumeration:
         assert got == expected
 
 
+class TestGroupMapsPerLevel:
+    """The distinct group maps of averaged(f, d) on each level.  A step reads only
+    its state and fresh bits, so two nodes of a level with equal maps have equal
+    subtrees; a kernel that bets on sigma carries it, and its maps never match."""
+
+    @staticmethod
+    def widths(f, depth):
+        n, maps = averaged(f, depth), [set() for _ in range(depth + 1)]
+        for _, sigma, state in tree(n.start, n._step, depth):
+            maps[len(sigma)].add(frozenset(state[2].items()))
+        return [len(level) for level in maps], maps
+
+    @pytest.mark.parametrize("name", ["constant", "coincidence", "prefix-coincidence",
+                                      "savings-coincidence"])
+    def test_symmetric_kernels_have_one_map_per_level(self, name):
+        f = BUILTIN_KERNELS[name](2) if name == "prefix-coincidence" else BUILTIN_KERNELS[name]()
+        assert self.widths(f, 8)[0] == [1] * 9
+
+    def test_biased_coincidence_map_follows_its_ones(self):
+        # the map at sigma depends only on #1(sigma)
+        assert self.widths(BUILTIN_KERNELS["biased-coincidence"](), 7)[0] == list(range(1, 9))
+
+    def test_sigma_carrying_kernel_shares_no_map(self):
+        f, _ = random_functional(3, [1, 1, 1, 1], "value", 1)
+        widths, maps = self.widths(f, 4)
+        assert widths == [2**n for n in range(5)]
+        # prefixes still merge within a node
+        assert any(sum(count for _, count in m) > len(m) for level in maps for m in level)
+
+
 class TestAveragedMartingaleMatchesTable:
     """The average stepped along one path agrees with the tabulated average."""
 
@@ -572,7 +610,7 @@ class TestDeepQueries:
 
         def step(sigma: str, state):
             calls.append(sigma)
-            return coincidence_step(sigma, state, ref[len(sigma)])
+            return coincidence_step(state, ref[len(sigma)])
 
         m = StrategyMartingale(len(ref), (1, 1), step)
         path = adversary_sequence(m, len(ref))

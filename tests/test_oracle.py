@@ -25,7 +25,7 @@ from recmeasure.oracle import (
 )
 from recmeasure.strategies import adversary_sequence, coincidence_step
 
-from conftest import as_pair, fraction_trace, strings_up_to
+from conftest import as_pair, fraction_trace, sigma_carried, strings_up_to
 
 
 def brute_force_average(f: TTFunctional, sigma: str, depth: int) -> Fraction:
@@ -83,7 +83,7 @@ class TestAveraged:
     def test_guard(self):
         # a tree one level deeper than GUARD fails before it steps or allocates:
         # its two rank arrays alone would take 2^(GUARD+2) slots
-        def step(sigma, state, fresh):
+        def step(state, fresh):
             raise AssertionError("stepped past the guard")
 
         f = TTFunctional("never", lambda n: 0, (1, 1), step)
@@ -127,16 +127,17 @@ class TestFunctionalValidate:
 
     def test_step_reads_exactly_the_fresh_bits(self):
         # a step is handed tau[use(n):use(n+1)] and nothing else, so no
-        # martingale of the family can read past its use bound
+        # martingale of the family can read past its use bound; the kernel
+        # carries sigma in its state, so each step shows where it stands
         uses = [0, 2, 2, 3, 5]
         seen, sigmas = [], []
 
-        def step(sigma, state, fresh):
+        def step(sigma, capital, fresh):
             seen.append((len(sigma), fresh))
             sigmas.append(sigma)
-            return coincidence_step(sigma, state, fresh[:1])
+            return coincidence_step(capital, fresh[:1])
 
-        f = TTFunctional("widths", lambda n: uses[n], (1, 1), step)
+        f = TTFunctional("widths", lambda n: uses[n], (1, 1, ""), sigma_carried(step))
         widths = {n: uses[n + 1] - uses[n] for n in range(4)}
         for run in (
             lambda: averaged_martingale(f, 4),
@@ -146,7 +147,7 @@ class TestFunctionalValidate:
             seen.clear()
             run()
             assert seen and all(len(fresh) == widths[n] for n, fresh in seen)
-        # exceed_set hands each step exactly the prefix of its path it stands on
+        # exceed_set steps each state at exactly the prefix of its path it stands on
         sigmas.clear()
         exceed_set(f, "0110", 1)
         assert sigmas and all(sigma == "0110"[:len(sigma)] for sigma in sigmas)
@@ -174,16 +175,17 @@ class TestFunctionalValidate:
         assert constant_functional().factory("", 5).walk("01010") == [(1, 1)] * 6
 
     def test_unfair_and_negative_steps_reported_with_sigma(self):
-        def step(sigma, state, fresh):
-            zero, one = coincidence_step(sigma, state, fresh)
+        # the faults are placed at sigma, which the kernel carries in its state
+        def step(sigma, capital, fresh):
+            zero, one = coincidence_step(capital, fresh)
             if sigma == "01" and fresh == "1":
                 one = (one[0] + 1, one[1])  # breaks 2*M(01) = M(010) + M(011)
             if sigma == "1":
-                num, den = state
+                num, den = capital
                 zero, one = (3 * num, den), (-num, den)  # fair, but negative below "1"
             return zero, one
 
-        f = TTFunctional("faulty", lambda n: n, (1, 1), step)
+        f = TTFunctional("faulty", lambda n: n, (1, 1, ""), sigma_carried(step))
         violations = functional_validate(f, 3)
         unfair = [v for v in violations if "averaging violated" in v]
         negative = [v for v in violations if "negative value" in v]
@@ -317,16 +319,16 @@ class TestRootUse:
 
     @pytest.mark.parametrize("u0", [0, 1, 2])
     def test_validation_witnesses_have_the_use_length(self, u0):
-        def step(sigma, state, fresh):
-            zero, one = coincidence_step(sigma, state, fresh)
+        def step(sigma, capital, fresh):
+            zero, one = coincidence_step(capital, fresh)
             if sigma == "0" and fresh == "1":
                 one = (one[0] + 1, one[1])  # breaks 2*M(0) = M(00) + M(01)
             if sigma == "1":
-                num, den = state
+                num, den = capital
                 zero, one = (3 * num, den), (-num, den)  # fair, but negative below "1"
             return zero, one
 
-        f = TTFunctional(f"faulty{u0}", lambda n: n + u0, (1, 1), step)
+        f = TTFunctional(f"faulty{u0}", lambda n: n + u0, (1, 1, ""), sigma_carried(step))
         depth = 3
         violations = functional_validate(f, depth)
         kinds = set()
