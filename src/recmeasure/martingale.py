@@ -30,16 +30,17 @@ def all_strings(length: int) -> Iterable[str]:
     return (bin(i)[3:] for i in range(1 << length, 2 << length))
 
 
-def tree(start: State, step: Callable, depth: int) -> Iterator[tuple[int, str, State]]:
-    """Every (rank, sigma, state) with |sigma| <= depth, depth first, "0" before "1";
-    ``step(sigma, state)`` gives the children's states, once per inner node, after its yield."""
-    stack = [(0, "", start)]
+def tree(start: State, step: Callable, depth: int) -> Iterator[tuple[int, int, State]]:
+    """Every (rank, n, state) at a string sigma of length n <= depth, depth first, "0"
+    before "1"; ``step(n, state)`` gives the children's states, once per inner node,
+    after its yield.  No sigma is built: the rank names it (see :func:`codec.str_of`)."""
+    stack = [(0, 0, start)]
     while stack:
-        r, sigma, state = stack.pop()
-        yield r, sigma, state
-        if len(sigma) < depth:
-            zero, one = step(sigma, state)
-            stack += (2 * r + 2, sigma + "1", one), (2 * r + 1, sigma + "0", zero)
+        r, n, state = stack.pop()
+        yield r, n, state
+        if n < depth:
+            zero, one = step(n, state)
+            stack += (2 * r + 2, n + 1, one), (2 * r + 1, n + 1, zero)
 
 
 class Martingale:
@@ -47,26 +48,27 @@ class Martingale:
 
     A subclass gives the state at the empty string as ``start`` and the
     states of ``sigma+"0"`` and ``sigma+"1"`` from the state at ``sigma`` as
-    ``_step``; every evaluation is derived from these two: ``walk`` along
-    one path, ``tabulate`` as a :class:`TableMartingale`, the one form that
-    holds many values at once.
+    ``_step(n, state)``, n = |sigma|: a step reads its level and its state,
+    never sigma, so a step that bets on sigma carries what it reads in its
+    state.  Every evaluation is derived from these two: ``walk`` along one
+    path, ``tabulate`` as a :class:`TableMartingale`, the one form that holds
+    many values at once.
     """
 
     depth: int
     start: State
 
-    def _step(self, sigma: str, state: State) -> tuple[State, State]:
+    def _step(self, n: int, state: State) -> tuple[State, State]:
         raise NotImplementedError
 
     def walk(self, path: str) -> list[tuple[int, int]]:
         """Exact capital at every prefix of ``path`` as (numerator, denominator)."""
         if len(check_bits(path)) > self.depth:
             raise ValueError(f"query {excerpt(path)} exceeds martingale depth {self.depth}")
-        sigma, state, capitals = "", self.start, [self.start[:2]]
-        for bit in path:
-            state = self._step(sigma, state)[bit == "1"]
+        state, capitals = self.start, [self.start[:2]]
+        for n, bit in enumerate(path):
+            state = self._step(n, state)[bit == "1"]
             capitals.append(state[:2])
-            sigma += bit  # in place: sigma is its string's one reference
         return capitals
 
     def tabulate(self, depth: int) -> TableMartingale:
@@ -125,18 +127,18 @@ class TableMartingale(Martingale):
         from fractions import Fraction
         return {str_of(r): Fraction(*v) for r, v in enumerate(zip(self.nums, self.dens))}
 
-    def _step(self, sigma: str, state: State) -> tuple[State, State]:
+    def _step(self, n: int, state: State) -> tuple[State, State]:
         r = 2 * state[2] + 1
         return (self.nums[r], self.dens[r], r), (self.nums[r + 1], self.dens[r + 1], r + 1)
 
 
 class StrategyMartingale(Martingale):
     """The martingale of a step function: ``start`` is the state at the empty
-    string and ``step(sigma, state)`` gives the states at sigma+"0" and
-    sigma+"1", each a tuple whose first two entries are the exact capital as
-    numerator and positive denominator."""
+    string and ``step(n, state)`` gives the states at sigma+"0" and sigma+"1"
+    from the one at sigma, n = |sigma|, each a tuple whose first two entries
+    are the exact capital as numerator and positive denominator."""
 
-    def __init__(self, depth: int, start: State, step: Callable[[str, State], tuple]):
+    def __init__(self, depth: int, start: State, step: Callable[[int, State], tuple]):
         if depth < 0:
             raise ValueError("depth must be a natural number")
         # an instance attribute, so each step is one plain call

@@ -7,7 +7,7 @@ validation step each state reached at sigma once, however many oracle prefixes r
 from __future__ import annotations
 
 # Before dataclasses: a module compiled from source after inspect stacks the compiler on it
-from .codec import check_bits, excerpt, num_of, reduced
+from .codec import check_bits, excerpt, reduced
 from .martingale import Martingale, State, StrategyMartingale, TableMartingale, all_strings
 from .martingale import negative, savings_start, savings_step, tree, unfair
 from .strategies import coincidence_step
@@ -38,8 +38,7 @@ def oracle_martingale(f: TTFunctional, tau: str, depth: int) -> StrategyMartinga
         raise ValueError(f"oracle word {excerpt(tau)} is shorter than use({depth}) = {use}")
     use_bound, step = f.use_bound, f.step
 
-    def fed(sigma: str, state: State) -> tuple[State, State]:
-        n = len(sigma)
+    def fed(n: int, state: State) -> tuple[State, State]:
         return step(state, tau[use_bound(n) : use_bound(n + 1)])
 
     return StrategyMartingale(depth, f.start, fed)
@@ -65,17 +64,21 @@ class TTFunctional:
     def levels(self, depth: int) -> list[list[str]]:
         """freshes[n], the fresh oracle words read at level n <= depth: all_strings of
         use(n) - use(n-1), with use(-1) = 0, one list per width.  use(depth) is checked
-        within GUARD before any list is built, then the use bound monotone."""
+        within GUARD, then every level's use monotone, before any list is built, so no
+        width exceeds use(depth)."""
         if depth < 0:
             raise ValueError("depth must be a natural number")
         if (top := self.use_bound(depth)) > GUARD:
             raise GuardExceeded(
                 f"use bound {top} at depth {depth} exceeds the enumeration guard {GUARD}"
             )
+        uses = list(map(self.use_bound, range(depth + 1)))
+        for n in range(1, depth + 1):
+            if uses[n] < uses[n - 1]:
+                raise UseNotMonotone(
+                    f"use bound not monotone: use({n-1})={uses[n-1]} > use({n})={uses[n]}")
         freshes, words, last = [], {}, 0
-        for n in range(depth + 1):
-            if (use := self.use_bound(n)) < last and n:
-                raise UseNotMonotone(f"use bound not monotone: use({n-1})={last} > use({n})={use}")
+        for use in uses:
             if use - last not in words:
                 words[use - last] = list(all_strings(use - last))
             freshes.append(words[use - last])
@@ -142,10 +145,10 @@ def averaged(f: TTFunctional, depth: int) -> StrategyMartingale:
     groups maps each state the prefixes reach at sigma to how many reach it."""
     freshes, step = f.levels(depth), f.step
 
-    def grow(sigma: str, state: State) -> tuple[State, State]:
+    def grow(n: int, state: State) -> tuple[State, State]:
         zero, one = {}, {}
         for s, count in state[2].items():
-            for fresh in freshes[len(sigma) + 1]:
+            for fresh in freshes[n + 1]:
                 s0, s1 = step(s, fresh)
                 zero[s0] = zero.get(s0, 0) + count
                 one[s1] = one.get(s1, 0) + count
@@ -197,19 +200,21 @@ def functional_validate(f: TTFunctional, depth: int) -> list[str]:
         return [str(exc)]
     violations: list[str] = []
 
-    def node(sigma, groups):
-        zero, one, r = {}, {}, num_of(sigma)
+    # the tree state at sigma is (rank, groups), as a table's state carries its rank
+    def node(n, at):
+        r, groups = at
+        zero, one = {}, {}
         for state, tau in groups.items():
-            for fresh in freshes[len(sigma) + 1]:
+            for fresh in freshes[n + 1]:
                 s0, s1 = f.step(state, fresh)
                 bad = unfair(r, *state[:2], *s0[:2], *s1[:2])
                 if bad:
                     violations.append(f"oracle {tau + fresh or '-'}: {bad}")
                 zero.setdefault(s0, tau + fresh)
                 one.setdefault(s1, tau + fresh)
-        return zero, one
+        return (2 * r + 1, zero), (2 * r + 2, one)
 
-    for r, _, groups in tree({f.start: freshes[0][0]}, node, depth):
+    for r, _, (_, groups) in tree((0, {f.start: freshes[0][0]}), node, depth):
         violations += [
             f"oracle {tau or '-'}: {negative(r, *state[:2])}"
             for state, tau in groups.items()

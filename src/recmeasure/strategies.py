@@ -17,7 +17,7 @@ def coincidence_martingale(ref: str) -> StrategyMartingale:
     """
     check_bits(ref)
     return StrategyMartingale(
-        len(ref), (1, 1), lambda sigma, state: coincidence_step(state, ref[len(sigma)]))
+        len(ref), (1, 1), lambda n, state: coincidence_step(state, ref[n]))
 
 
 def coincidence_step(state: State, fresh: str) -> tuple[State, State]:
@@ -38,17 +38,21 @@ def pair_doubling_martingale(depth: int) -> StrategyMartingale:
     """Stakes everything at odd positions on the bit repeating its predecessor.
 
     Doubles on every agreeing pair, drops to 0 on any violated pair, and
-    never bets at even positions.
+    never bets at even positions.  Its state (num, den, last) carries the bit
+    that sigma ends in, "" at the empty string, since a step reads only its
+    level and its state.
     """
 
-    def step(sigma: str, state: State) -> tuple[State, State]:
-        if len(sigma) % 2 == 0:
-            return state, state
-        num, den = state
-        win, lose = (2 * num, den), (0, den)
-        return (lose, win) if sigma[-1] == "1" else (win, lose)
+    def step(n: int, state: State) -> tuple[State, State]:
+        num, den, last = state
+        if n % 2 == 0:
+            zero = one = num, den
+        else:
+            win, lose = (2 * num, den), (0, den)
+            zero, one = (lose, win) if last == "1" else (win, lose)
+        return (*zero, "0"), (*one, "1")
 
-    return StrategyMartingale(depth, (1, 1), step)
+    return StrategyMartingale(depth, (1, 1, ""), step)
 
 
 def adversary_sequence(m: Martingale, length: int) -> str:
@@ -58,11 +62,11 @@ def adversary_sequence(m: Martingale, length: int) -> str:
     if length > m.depth:
         raise ValueError(f"length {length} exceeds martingale depth {m.depth}")
     path, state = "", m.start
-    for _ in range(length):
-        zero, one = m._step(path, state)
+    for n in range(length):
+        zero, one = m._step(n, state)
         # capitals compared as fractions over positive denominators
         up = zero[0] * one[1] > one[0] * zero[1]
         state = one if up else zero
-        path += "1" if up else "0"  # in place, as in Martingale.walk
+        path += "1" if up else "0"  # in place: path is its string's one reference
     return path
 

@@ -46,7 +46,9 @@ class RuleMartingale(Martingale):
 
     ``rule(sigma)`` returns a stake fraction in [0,1] and a predicted next
     bit; capital multiplies by (1+stake) when the prediction is correct and
-    by (1-stake) otherwise, which preserves the fairness equation.
+    by (1-stake) otherwise, which preserves the fairness equation.  A step
+    reads its level and its state, not sigma, so the state (num, den, sigma)
+    carries the sigma that the rule reads.
     """
 
     def __init__(
@@ -59,9 +61,10 @@ class RuleMartingale(Martingale):
         self.depth = depth
         self.initial = Fraction(initial)
         self.rule = rule
-        self.start = self.initial.numerator, self.initial.denominator
+        self.start = self.initial.numerator, self.initial.denominator, ""
 
-    def _step(self, sigma: str, state):
+    def _step(self, n: int, state):
+        num, den, sigma = state
         stake, predicted = self.rule(sigma)
         _rational("stake", stake)
         p, q = stake.numerator, stake.denominator
@@ -69,9 +72,9 @@ class RuleMartingale(Martingale):
             raise ValueError(f"stake fraction {stake} outside [0,1]")
         if predicted not in (0, 1):
             raise ValueError(f"predicted bit {predicted!r} not a bit")
-        num, den = state
         win, lose = (num * (q + p), den * q), (num * (q - p), den * q)
-        return (win, lose) if predicted == 0 else (lose, win)
+        zero, one = (win, lose) if predicted == 0 else (lose, win)
+        return (*zero, sigma + "0"), (*one, sigma + "1")
 
 
 def random_strategy_martingale(rng: random.Random, depth: int) -> RuleMartingale:
@@ -102,8 +105,8 @@ class SavingsMartingale(Martingale):
         self.base = base
         self.depth = base.depth
 
-    def _step(self, sigma: str, state):
-        return savings_step(state, self.base._step(sigma, state[3]))
+    def _step(self, n: int, state):
+        return savings_step(state, self.base._step(n, state[3]))
 
 
 def as_pair(x) -> tuple[int, int]:

@@ -35,9 +35,11 @@ from recmeasure.oracle import (
     exceed_set,
     functional_validate,
     oracle_coincidence_functional,
+    oracle_martingale,
     savings_functional,
 )
-from recmeasure.strategies import adversary_sequence, coincidence_martingale, coincidence_step
+from recmeasure.strategies import (adversary_sequence, coincidence_martingale, coincidence_step,
+                                   pair_doubling_martingale)
 
 from conftest import (
     RuleMartingale,
@@ -285,9 +287,9 @@ class TestValidateMatchesReference:
         steps = []
         step = TableMartingale._step
 
-        def counted(self, sigma, state):
-            steps.append(sigma)
-            return step(self, sigma, state)
+        def counted(self, n, state):
+            steps.append(n)
+            return step(self, n, state)
 
         monkeypatch.setattr(TableMartingale, "_step", counted)
         planted = thirds_table(rng, DEPTH).reference
@@ -537,8 +539,8 @@ class TestGroupMapsPerLevel:
     @staticmethod
     def widths(f, depth):
         n, maps = averaged(f, depth), [set() for _ in range(depth + 1)]
-        for _, sigma, state in tree(n.start, n._step, depth):
-            maps[len(sigma)].add(frozenset(state[2].items()))
+        for _, level, state in tree(n.start, n._step, depth):
+            maps[level].add(frozenset(state[2].items()))
         return [len(level) for level in maps], maps
 
     @pytest.mark.parametrize("name", ["constant", "coincidence", "prefix-coincidence",
@@ -608,18 +610,56 @@ class TestDeepQueries:
         calls = []
         ref = "0110" * 50
 
-        def step(sigma: str, state):
-            calls.append(sigma)
-            return coincidence_step(state, ref[len(sigma)])
+        def step(n: int, state):
+            calls.append((n, state))
+            return coincidence_step(state, ref[n])
 
         m = StrategyMartingale(len(ref), (1, 1), step)
         path = adversary_sequence(m, len(ref))
         # one step call per greedy step: both children come from one step,
-        # each handed exactly the prefix of the path it stands on
-        assert calls == [path[:n] for n in range(len(ref))]
+        # each handed the level and the state at the prefix of the path it
+        # stands on; a coincidence state is its capital, as walk returns it
+        assert len(calls) == len(ref)
+        states = m.walk(path)
+        assert calls[: len(ref)] == [(n, states[n]) for n in range(len(ref))]
         # the trace of that path, as the adversary command prints it
+        calls.clear()
         capital_trace(m, path)
-        assert calls[len(ref):] == [path[:n] for n in range(len(path))]
+        assert calls == [(n, states[n]) for n in range(len(path))]
         calls.clear()
         SavingsMartingale(m).walk(path)
         assert len(calls) == len(path)
+
+
+# every stepping martingale of the library, by name, made afresh on each call
+STEPPED = {
+    "coincidence": lambda: coincidence_martingale("011010"),
+    "pair-doubling": lambda: pair_doubling_martingale(DEPTH),
+    **{f"averaged({name})": lambda make=make: averaged(make(), DEPTH)
+       for name, make in BUILTIN_KERNELS.items()},
+    "oracle": lambda: oracle_martingale(oracle_coincidence_functional(), "011010", DEPTH),
+    "table": lambda: coincidence_martingale("011010").tabulate(DEPTH),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEPPED))
+def test_every_step_gets_its_level(name):
+    # each call's first argument is n = |sigma| as an int, not sigma
+    m = STEPPED[name]()
+    seen, step = [], m._step
+
+    def recorded(n, state):
+        seen.append(n)
+        return step(n, state)
+
+    m._step = recorded
+    for run, want in [
+        # the base tabulate, so a table steps too: its inner nodes in pre-order
+        (lambda: Martingale.tabulate(m, DEPTH), map(len, sorted(strings_up_to(DEPTH - 1)))),
+        (lambda: m.walk("011010"), range(DEPTH)),
+        (lambda: adversary_sequence(m, DEPTH), range(DEPTH)),
+    ]:
+        seen.clear()
+        run()
+        assert seen == list(want)
+        assert all(type(n) is int for n in seen)

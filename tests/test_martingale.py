@@ -128,27 +128,28 @@ class TestEvaluate:
 
 class TestTree:
     def test_every_rank_once_in_pre_order(self):
-        # a state here is its own string, so each yield can be checked against sigma
+        # a state here is its own string, so each yield and step can be checked
+        # against sigma, and the level n each gets against |sigma|
         events = []
 
-        def step(sigma, state):
-            events.append(("step", sigma))
+        def step(n, state):
+            events.append(("step", n, state))
             return state + "0", state + "1"
 
         walked = []
-        for r, sigma, state in tree("", step, 4):
-            events.append(("yield", sigma))
-            walked.append((r, sigma, state))
+        for r, n, state in tree("", step, 4):
+            events.append(("yield", n, state))
+            walked.append((r, n, state))
         # sorting strings puts a prefix before its extensions and "0" before "1"
         pre_order = sorted(strings_up_to(4))
-        assert [sigma for _, sigma, _ in walked] == pre_order
+        assert [sigma for _, _, sigma in walked] == pre_order
         assert [r for r, _, _ in walked] == [num_of(sigma) for sigma in pre_order]
         assert sorted(r for r, _, _ in walked) == list(range(31))
-        assert all(state == sigma for _, sigma, state in walked)
-        # each inner node is stepped once, right after its own yield
+        assert all(n == len(sigma) for _, n, sigma in walked)
+        # each inner node is stepped once, right after its own yield, with its level
         assert events == [
-            event for sigma in pre_order
-            for event in [("yield", sigma)] + [("step", sigma)] * (len(sigma) < 4)
+            (event, len(sigma), sigma) for sigma in pre_order
+            for event in ["yield"] + ["step"] * (len(sigma) < 4)
         ]
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from recmeasure import oracle
 from recmeasure.codec import str_of
 from recmeasure.martingale import all_strings, capital_trace, validate
 from recmeasure.nulltests import normalize
@@ -206,6 +207,28 @@ class TestFunctionalValidate:
             averaged_martingale(f, 2)
         with pytest.raises(UseNotMonotone):
             exceed_set(f, "01", 1)
+
+    def test_use_spike_below_the_last_level_builds_nothing(self, monkeypatch):
+        # use(1) = 40 is past GUARD though use(2) = 1 is not: every level's use is
+        # checked before any fresh-word list is built, so no width past GUARD is asked for
+        widths = []
+
+        def recorded(length):
+            widths.append(length)
+            if length > GUARD:
+                raise AssertionError(f"all {length}-bit oracle words were asked for")
+            return all_strings(length)
+
+        monkeypatch.setattr(oracle, "all_strings", recorded)
+        f = TTFunctional("spike", lambda n: [0, 40, 1][n], (1, 1), coincidence_step)
+        assert functional_validate(f, 2) == [
+            "use bound not monotone: use(1)=40 > use(2)=1"
+        ]
+        with pytest.raises(UseNotMonotone):
+            averaged_martingale(f, 2)
+        with pytest.raises(UseNotMonotone):
+            exceed_set(f, "01", 1)
+        assert all(width <= GUARD for width in widths)
 
 
 class TestExceedSet:
