@@ -31,21 +31,21 @@ def check_bits(sigma: str) -> str:
 
 
 def read_file(path, parse: Callable[[str], object],
-              block: Callable[[list[str]], bool] | None = None) -> None:
+              block: Callable[[str], bool] | None = None) -> None:
     """Call ``parse`` on each stripped line of an ASCII text file, for its
     effect, skipping blanks and ``#`` comments.
 
     A ValueError from ``parse``, or a non-ASCII byte, is raised once as
     ``path:lineno: message``, so a parse function never sees a line number.
-    Lines are read in blocks of about 8 KB; ``block(lines)`` may take an
-    all-ASCII block whole, unstripped, by returning True; a block it
-    declines goes to ``parse`` line by line.
+    Lines are read in blocks of about 8 KB; ``block(text)`` may take an
+    all-ASCII block whole, as one unstripped string, by returning True; a
+    block it declines goes to ``parse`` line by line.
     """
     lineno = 0
     # surrogateescape keeps each undecodable byte on its own line, as U+DC80..U+DCFF
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         while lines := fh.readlines(_BLOCK_CHARS):
-            if block is not None and all(map(str.isascii, lines)) and block(lines):
+            if block is not None and (text := "".join(lines)).isascii() and block(text):
                 lineno += len(lines)
                 continue
             for lineno, raw in enumerate(lines, lineno + 1):

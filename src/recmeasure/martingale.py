@@ -8,7 +8,7 @@ to a finite depth, subject to the fairness equation
 from __future__ import annotations
 
 import re
-from itertools import chain, repeat
+from itertools import chain
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -254,21 +254,18 @@ def load_table(path) -> TableMartingale:
             nums.append(num)
             dens.append(den)
 
-    def block(lines: list[str]) -> bool:
+    def block(text: str) -> bool:
         # a rank-ordered block of one-space lines, taken at once; anything
         # else declines, having written nothing, and goes line by line
-        text = "".join(lines)
         if ahead or not canonical.fullmatch(text):
             return False
         tokens = text.split()
         words, values = tokens[0::2], tokens[1::2]
         if words[0] == "-":
             words[0] = ""
-        try:  # int("1" + sigma, 2) is num_of(sigma) + 1; a later "-" fails it
-            ranks = list(map(int, map("1".__add__, words), repeat(2)))
-        except ValueError:
-            return False
-        if ranks != list(range(len(nums) + 1, len(nums) + len(ranks) + 1)):
+        # bin(num_of(sigma) + 1) is "0b1" + sigma; a later "-" matches no rank
+        first = len(nums) + 1
+        if list(map("0b1".__add__, words)) != list(map(bin, range(first, first + len(words)))):
             return False
         if text.count("/") < len(values):
             values = [v if "/" in v else v + "/1" for v in values]

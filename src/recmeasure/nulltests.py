@@ -161,8 +161,7 @@ def load_clopen(path) -> ClopenSet:
     """
     words: list[str] = []
 
-    def block(lines: list[str]) -> bool:
-        text = "".join(lines)
+    def block(text: str) -> bool:
         if text.encode().translate(None, b"01\n"):
             return False
         words.extend(text.split())
@@ -198,11 +197,11 @@ def load_kurtz(path) -> tuple[ClopenSet, ...]:
         else:
             raise ValueError("generator before any [level i]")
 
-    def block(lines: list[str]) -> bool:
+    def block(text: str) -> bool:
         # a header counts only at the start of a line, so "1[level 1]" stays in
         # a body and fails its check; anything else declines, having written
         # nothing, and goes line by line
-        first, *sections = ("\n" + "".join(lines)).split("\n[level ")
+        first, *sections = ("\n" + text).split("\n[level ")
         bodies = [first]
         for i, section in enumerate(sections, len(levels)):
             index, bracket, body = section.partition("]")

@@ -64,8 +64,8 @@ class TTFunctional:
     def levels(self, depth: int) -> list[list[str]]:
         """freshes[n], the fresh oracle words read at level n <= depth: all_strings of
         use(n) - use(n-1), with use(-1) = 0, one list per width.  use(depth) is checked
-        within GUARD, then every level's use monotone, before any list is built, so no
-        width exceeds use(depth)."""
+        within GUARD, then every level's use monotone from use(-1), before any list is
+        built, so no width is negative or exceeds use(depth)."""
         if depth < 0:
             raise ValueError("depth must be a natural number")
         if (top := self.use_bound(depth)) > GUARD:
@@ -73,10 +73,10 @@ class TTFunctional:
                 f"use bound {top} at depth {depth} exceeds the enumeration guard {GUARD}"
             )
         uses = list(map(self.use_bound, range(depth + 1)))
-        for n in range(1, depth + 1):
-            if uses[n] < uses[n - 1]:
+        for n, (last, use) in enumerate(zip([0, *uses], uses)):
+            if use < last:
                 raise UseNotMonotone(
-                    f"use bound not monotone: use({n-1})={uses[n-1]} > use({n})={uses[n]}")
+                    f"use bound not monotone: use({n-1})={last} > use({n})={use}")
         freshes, words, last = [], {}, 0
         for use in uses:
             if use - last not in words:

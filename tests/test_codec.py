@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from recmeasure.codec import (
+    _BLOCK_CHARS,
     FAMILIES,
     budget_sequence,
     check_bits,
@@ -14,6 +15,7 @@ from recmeasure.codec import (
     logpart_size,
     num_of,
     pair,
+    read_file,
     read_rational,
     s_index,
     str_of,
@@ -266,3 +268,68 @@ class TestExcerpt:
         with pytest.raises(ValueError) as exc:
             check_bits("0" * 50 + "2")
         assert str(exc.value) == f"not a binary string: {'0' * 40!r}... (51 chars)"
+
+
+class TestReadFile:
+    """``read_file`` hands each all-ASCII block to ``block`` as one string; a
+    block the hook declines, or one it never sees, goes to ``parse`` line by line."""
+
+    # 8-character lines, four blocks of them; line COMMENT lies in the second block
+    LINES = [f"{i:07d}\n" for i in range(4 * _BLOCK_CHARS // 8)]
+    COMMENT = 3 * _BLOCK_CHARS // 16
+
+    def read(self, tmp_path, changes: dict[int, str]):
+        """What the hook and ``parse`` saw, and the error with the path left out."""
+        lines = [*self.LINES]
+        lines[self.COMMENT] = "# a comment\n"
+        for i, line in changes.items():
+            lines[i] = line
+        path = tmp_path / "f.txt"
+        path.write_bytes("".join(lines).encode("latin-1"))
+        texts, parsed = [], []
+
+        def block(text):
+            texts.append(text)
+            return "#" not in text
+
+        def parse(line):
+            if line == "bad":
+                raise ValueError("bad line")
+            parsed.append(line)
+
+        try:
+            read_file(path, parse, block)
+        except ValueError as exc:
+            return lines, texts, parsed, str(exc).replace(str(path), "<path>")
+        return lines, texts, parsed, None
+
+    @staticmethod
+    def parsed_from(text: str) -> list[str]:
+        """The lines of ``text`` that ``parse`` sees: stripped, no comment."""
+        return [line.strip() for line in text.splitlines() if not line.startswith("#")]
+
+    def test_hook_gets_each_block_as_one_string(self, tmp_path):
+        lines, texts, parsed, error = self.read(tmp_path, {})
+        assert error is None
+        assert len(texts) >= 3 and all(type(text) is str for text in texts)
+        assert "".join(texts) == "".join(lines)
+        # only the second block declines, and parse sees its lines
+        assert ["#" in text for text in texts] == [False, True] + [False] * (len(texts) - 2)
+        assert parsed == self.parsed_from(texts[1])
+
+    def test_error_in_a_declined_block_has_its_line_number(self, tmp_path):
+        bad = self.COMMENT + 5
+        _, texts, parsed, error = self.read(tmp_path, {bad: "bad\n"})
+        assert error == f"<path>:{bad + 1}: bad line"
+        assert len(texts) == 2
+        assert parsed == self.parsed_from(texts[1].partition("bad\n")[0])
+
+    def test_non_ascii_block_never_reaches_the_hook(self, tmp_path):
+        byte = 5 * _BLOCK_CHARS // 16  # in the third block
+        lines, texts, parsed, error = self.read(tmp_path, {byte: "00\xe9\n"})
+        assert error == f"<path>:{byte + 1}: non-ASCII byte 0xe9"
+        # the first two blocks reached the hook, and the third went line by line
+        assert len(texts) == 2 and all(map(str.isascii, texts))
+        read = "".join(texts).count("\n")
+        assert "".join(texts) == "".join(lines[:read])
+        assert parsed == self.parsed_from(texts[1]) + self.parsed_from("".join(lines[read:byte]))

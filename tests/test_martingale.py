@@ -473,7 +473,7 @@ class TestBlockRead:
 
     @pytest.mark.parametrize("fault", [
         "duplicate", "duplicate-of-ahead", "zero-denominator", "non-ascii", "long-numerator", "bad-last-line",
-        "out-of-order", "no-final-newline",
+        "out-of-order", "no-final-newline", "dash-mid-block", "missing-rank",
     ])
     def test_faults_named_as_line_by_line(self, tmp_path, fault):
         # the tab-separated copy has the same line numbers and never takes a block
@@ -510,6 +510,15 @@ class TestBlockRead:
             entry = entries.pop(at_chars(entries, 1.5 * _BLOCK_CHARS))
             entries.insert(at_chars(entries, 5.5 * _BLOCK_CHARS), entry)
             message = (nums, dens)
+        elif fault == "dash-mid-block":
+            # "-" matches the canonical layout but no rank past the first
+            i = at_chars(entries, 2.5 * _BLOCK_CHARS)
+            entries.insert(i, ["-", "1/3"])
+            message = f"<path>:{i + 1}: duplicate entry for '-'"
+        elif fault == "missing-rank":
+            # every later line waits in ahead, behind the dropped rank
+            word, _ = entries.pop(at_chars(entries, 2.5 * _BLOCK_CHARS))
+            message = f"<path>: table is missing the string {word!r}"
         else:
             last = ""
             message = (nums, dens)

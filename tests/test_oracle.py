@@ -199,14 +199,17 @@ class TestFunctionalValidate:
         }
 
     def test_non_monotone_use_bound(self):
-        f = TTFunctional("shrinks", lambda n: [0, 2, 1][n], (1, 1), coincidence_step)
-        assert functional_validate(f, 2) == [
-            "use bound not monotone: use(1)=2 > use(2)=1"
-        ]
-        with pytest.raises(UseNotMonotone):
-            averaged_martingale(f, 2)
-        with pytest.raises(UseNotMonotone):
-            exceed_set(f, "01", 1)
+        # a negative use(0) falls below use(-1) = 0, and is reported as any later drop
+        for use, message in [
+            (lambda n: [0, 2, 1][n], "use bound not monotone: use(1)=2 > use(2)=1"),
+            (lambda n: n - 1, "use bound not monotone: use(-1)=0 > use(0)=-1"),
+        ]:
+            f = TTFunctional("shrinks", use, (1, 1), coincidence_step)
+            assert functional_validate(f, 2) == [message]
+            with pytest.raises(UseNotMonotone, match=re.escape(message)):
+                averaged_martingale(f, 2)
+            with pytest.raises(UseNotMonotone, match=re.escape(message)):
+                exceed_set(f, "01", 1)
 
     def test_use_spike_below_the_last_level_builds_nothing(self, monkeypatch):
         # use(1) = 40 is past GUARD though use(2) = 1 is not: every level's use is
